@@ -1,0 +1,12 @@
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH)
+
+# The benchmark's modules import each other by plain name, as when run.py is
+# run as a script; the program under test comes from the checkout's src.
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
