@@ -32,6 +32,9 @@ from .lattice import check_dim
 
 _BLOCK = 1 << 16
 _MASK64 = (1 << 64) - 1
+# Stream tags pack the indices i0, j0 and k0 (all <= n) in base 64, so they
+# are injective only for n < _TAG_BASE.
+_TAG_BASE = 64
 
 
 class Target(Enum):
@@ -108,7 +111,7 @@ def chi_offdiag(branch: int, s, t, u) -> int:
 
 
 def _tag(target: Target, i0: int, j0: int, extra: int = 0) -> int:
-    return ((_TARGET_CODE[target] * 64 + i0) * 64 + j0) * 64 + extra
+    return ((_TARGET_CODE[target] * _TAG_BASE + i0) * _TAG_BASE + j0) * _TAG_BASE + extra
 
 
 def _block_rng(seed: int, tag: int, block: int) -> np.random.Generator:
@@ -144,6 +147,8 @@ def _mc_blocks(samples: int, dims: int, seed: int, tag: int, f_of_block):
 
 def _check_indices(n: int, i0: int, j0: int | None = None, distinct: bool = False) -> None:
     check_dim(n)
+    if n >= _TAG_BASE:
+        raise ValueError(f"MC stream tags need n < {_TAG_BASE}, got n = {n}")
     if not 0 <= i0 <= n:
         raise ValueError(f"i0 must be in [0, {n}], got {i0}")
     if j0 is not None:

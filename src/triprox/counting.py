@@ -3,12 +3,16 @@
 Two independent implementations share one contract:
 
 * ``count_points`` -- the production path.  It iterates (x, y) grouped by the
-  pair (a, b) of exact max-coordinates, forms the coefficient vectors
-  c_i = x_i * y_i, and counts admissible z through ``count_z_solutions``:
-  solve for the coordinate with the largest |c_k| and accept when it divides
-  the partial sum with a quotient in [-Z,-1] u [1,Z].  Sign-fixing enters
-  through exact per-magnitude-class counts (negation is an involution), and
-  primitivity of z through a Mobius sum over the content of z.
+  pair (a, b) of exact max-coordinates, forms the coefficient rows
+  c_i = x_i * y_i, and runs the z-kernel once per pair block (per row chunk
+  of an outsized block): it solves for z_0 (any nonzero coefficient will do,
+  so rows are neither sorted nor deduplicated) and returns a histogram of
+  the solutions by exact max|z|.  Sign-fixing enters through exact
+  per-magnitude-class counts (negation is an involution), and primitivity
+  of z through a Mobius inversion of that histogram over the content of z.
+  Blocks are summed into one histogram by exact height H = a*b*max|z| in
+  Python ints: ``count_points`` returns its total, and ``mobius_count``
+  reads all its inner counts off its prefix sums.
 
 * ``count_points_oracle`` -- a deliberately naive scan that enumerates signed
   coordinate tuples directly, tests the trilinear sum literally, and applies
@@ -20,12 +24,12 @@ deterministic and independent of the number of worker threads.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from itertools import product as iter_product
 
 import numpy as np
@@ -38,8 +42,10 @@ from .lattice import check_dim
 # (n+1)*B*Z <= (n+1)*B^2, so B is capped well below the exact range.
 _MAX_BOUND = 2**30
 
-# Chunk caps for the vectorized kernels (cells = rows x grid points).
-_CELL_CHUNK = 6_000_000
+# Largest number of int64 cells in one array of the vectorized kernel (rows x
+# z-grid points) or of a pair block's coefficient rows (rows x (n+1)): 2 MiB
+# per array, so a pair block's working set is a few of them plus its z-grid.
+_CELL_CHUNK = 1 << 18
 _ORACLE_OPS_BUDGET = 400_000_000
 
 
@@ -137,40 +143,43 @@ def _z_grid(n: int, Z: int) -> np.ndarray:
 
 
 def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
-    """Per-row count of z with 1 <= |z_i| <= Z and sum_i C[r,i]*z_i = 0.
+    """Histogram of z-solutions by exact height, summed over the rows of C.
 
-    C must have positive entries sorted in non-increasing order per row (the
-    solved coordinate is column 0, the one with the largest coefficient).
+    hist[h] = #{(r, z) : 1 <= |z_i| <= Z, max_i |z_i| = h, sum_i C[r,i]*z_i = 0}
+    for h = 0..Z (hist[0] = 0).  C must have positive entries, in any order:
+    the kernel solves for column 0, enumerating the other n coordinates and
+    accepting a cell when C[r,0] divides the partial sum with a quotient in
+    [-Z,-1] u [1,Z].  The remainder and the range test are taken once per
+    cell; the quotient and max|z| only on the sparse accepted cells.
     """
-    M = len(C)
-    out = np.zeros(M, dtype=np.int64)
-    if Z < 1 or M == 0:
-        return out
+    hist = np.zeros(Z + 1, dtype=np.int64)
+    if Z < 1 or len(C) == 0:
+        return hist
     n = C.shape[1] - 1
     grid = _z_grid(n, Z)
-    G = len(grid)
-    c0 = C[:, 0]
-    row_chunk = max(1, _CELL_CHUNK // max(G, 1))
-    for lo in range(0, M, row_chunk):
-        hi = min(M, lo + row_chunk)
-        Cc = C[lo:hi]
+    gmax = np.abs(grid).max(axis=1)
+    row_chunk = max(1, _CELL_CHUNK // len(grid))
+    for lo in range(0, len(C), row_chunk):
+        Cc = C[lo : lo + row_chunk]
         s = np.multiply.outer(Cc[:, 1], grid[:, 0])
         for j in range(2, n + 1):
             s += np.multiply.outer(Cc[:, j], grid[:, j - 1])
-        q, r = np.divmod(-s, c0[lo:hi, None])
-        ok = (r == 0) & (q != 0) & (q >= -Z) & (q <= Z)
-        out[lo:hi] = ok.sum(axis=1, dtype=np.int64)
-    return out
+        c0 = Cc[:, :1]
+        hit = s % c0 == 0
+        hit &= s != 0
+        hit &= s <= Z * c0
+        hit &= s >= -Z * c0
+        r, g = np.nonzero(hit)
+        q = np.abs(s[r, g]) // Cc[r, 0]
+        hist += np.bincount(np.maximum(q, gmax[g]), minlength=Z + 1)
+    return hist
 
 
 def count_z_solutions(c, Z: int) -> int:
     """#{z : 1 <= |z_i| <= Z for all i, sum_i c_i z_i = 0} for nonzero integer c_i.
 
-    Solves for the coordinate with the largest |c_k|: the other n coordinates
-    are enumerated and a candidate is accepted iff c_k divides the partial sum
-    and the quotient lands in [-Z,-1] u [1,Z].  The count depends on the c_i
-    only through |c_i| (flipping z_i absorbs signs), so coefficients are
-    normalized to positive and sorted.
+    The count depends on the c_i only through |c_i| (flipping z_i absorbs
+    signs), so the kernel runs on the absolute values in the given order.
     """
     c = [int(v) for v in c]
     if len(c) < 2:
@@ -181,8 +190,8 @@ def count_z_solutions(c, Z: int) -> int:
         raise ValueError(f"Z must be a positive integer, got {Z!r}")
     if max(abs(v) for v in c) * Z * len(c) >= 2**62:
         raise OverflowGuardError("coefficient/Z magnitudes exceed the int64-safe range")
-    row = np.array(sorted((abs(v) for v in c), reverse=True), dtype=np.int64)
-    return int(_kernel_rows(row.reshape(1, -1), Z)[0])
+    row = np.array([abs(v) for v in c], dtype=np.int64)
+    return int(_kernel_rows(row.reshape(1, -1), Z).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +254,6 @@ def _pair_admissible(B: int, a: int, b: int, domain: Domain) -> bool:
     return True
 
 
-def _mu_coeffs_by_floor(Z: int, mu: np.ndarray) -> list[tuple[int, int]]:
-    """Group sum_d mu(d)*f(Z//d) by the distinct values v = Z//d."""
-    coeffs: dict[int, int] = {}
-    d = 1
-    while d <= Z:
-        v = Z // d
-        d_hi = Z // v
-        block = int(mu[d : d_hi + 1].sum())
-        if block:
-            coeffs[v] = coeffs.get(v, 0) + block
-        d = d_hi + 1
-    return sorted(coeffs.items(), reverse=True)
-
-
 def _count_pair_block(
     n: int,
     a: int,
@@ -267,65 +262,63 @@ def _count_pair_block(
     primitive: bool,
     half_z: bool,
     mu: np.ndarray | None,
-) -> int:
-    """Total inner-z count over all positive magnitude pairs with maxima (a, b)."""
+) -> np.ndarray:
+    """Inner-z counts over all positive magnitude pairs with maxima (a, b),
+    as a histogram by exact max|z| (length Z+1).
+
+    With ``primitive``, the histogram counts primitive z only: every z of
+    max h is d*z' for its content d and a primitive z' of max h/d, so the
+    primitive histogram is the Mobius inversion over d of the full one.
+    """
     P = _exact_max_vectors(n, a)
     Q = _exact_max_vectors(n, b)
     if primitive:
         P = P[np.gcd.reduce(P, axis=1) == 1]
         Q = Q[np.gcd.reduce(Q, axis=1) == 1]
-        if len(P) == 0 or len(Q) == 0:
-            return 0
 
-    total = 0
-    q_rows = len(Q)
-    p_chunk = max(1, _CELL_CHUNK // max(q_rows * (n + 1) * 8, 1))
+    hist = np.zeros(Z + 1, dtype=np.int64)
+    p_chunk = max(1, _CELL_CHUNK // max(len(Q) * (n + 1), 1))
     for lo in range(0, len(P), p_chunk):
         C = (P[lo : lo + p_chunk, None, :] * Q[None, :, :]).reshape(-1, n + 1)
-        C = -np.sort(-C, axis=1)
-        rows, counts = np.unique(C, axis=0, return_counts=True)
-        if primitive:
-            kern = np.zeros(len(rows), dtype=np.int64)
-            for v, coeff in _mu_coeffs_by_floor(Z, mu):
-                kern += coeff * _kernel_rows(rows, v)
-        else:
-            kern = _kernel_rows(rows, Z)
-        if half_z:
-            if np.any(kern & 1):
-                raise AssertionError("z-solution counts must pair up under z -> -z")
-            kern >>= 1
-        total += int(np.dot(kern, counts))
-    return total
+        hist += _kernel_rows(C, Z)
+    if half_z:
+        if np.any(hist & 1):
+            raise AssertionError("z-solution counts must pair up under z -> -z")
+        hist >>= 1
+    if primitive:
+        prim = np.zeros_like(hist)
+        for d in np.flatnonzero(mu[1 : Z + 1]) + 1:
+            prim[d::d] += int(mu[d]) * hist[1 : Z // d + 1]
+        hist = prim
+    return hist
 
 
-def _run_tasks(args: tuple) -> int:
-    """Worker: sum weighted pair blocks for a slice of (a, b, sym) tasks."""
+def _run_tasks(args: tuple) -> np.ndarray:
+    """Worker: weighted histogram by exact height H = a*b*max|z| (H <= B) of
+    the solutions in a slice of (a, b, sym) tasks, as exact Python ints."""
     n, B, primitive, sf, domain, tasks = args
     mu = mobius_sieve(B) if primitive else None
     half_z = "z" in sf
     wx = _sign_class_weight(n, "x" in sf)
     wy = _sign_class_weight(n, "y" in sf)
-    total = 0
+    by_height = np.zeros(B + 1, dtype=object)
     for a, b, sym in tasks:
         Z = _z_cap(B, a, b, domain)
         if Z < 1:
             continue
         block = _count_pair_block(n, a, b, Z, primitive, half_z, mu)
-        total += sym * wx * wy * block
-    return total
+        ab = a * b
+        by_height[ab : ab * Z + 1 : ab] += (sym * wx * wy) * block[1:].astype(object)
+    return by_height
 
 
-def count_points(
-    n: int,
-    B: int,
-    conv: CountingConvention,
-    threads: int = 1,
-) -> ExactCount:
-    """Exact cardinality of the solution set selected by ``conv``.
+def _height_hist(n: int, B: int, conv: CountingConvention, threads: int) -> np.ndarray:
+    """Counts by exact height H = 0..B of the solutions selected by ``conv``,
+    as an object array of Python ints.
 
-    Deterministic for fixed (n, B, conv): work is partitioned over exact
-    (max|x|, max|y|) pairs and reduced by exact integer summation, so the
-    result does not depend on ``threads``.
+    Work is partitioned over exact (max|x|, max|y|) pairs, striped over at
+    most ``threads`` worker processes (one when threads <= 1), and reduced by
+    exact integer summation, so the result does not depend on ``threads``.
     """
     check_dim(n)
     _validate_bound(B)
@@ -333,7 +326,6 @@ def count_points(
         raise ValueError("conv must be a CountingConvention")
     if n * B * B >= 2**62:
         raise OverflowGuardError(f"(n={n}, B={B}) would overflow the int64 kernel sums")
-    start = time.perf_counter()
 
     # For x<->y symmetric filters on the FULL domain, (a, b) and (b, a)
     # contribute equally; fold the triangle.
@@ -347,20 +339,31 @@ def count_points(
             sym = 2 if symmetric and b > a else 1
             tasks.append((a, b, sym))
 
-    if threads <= 1 or len(tasks) < 2:
-        total = _run_tasks((n, B, conv.primitive, conv.sign_fix, conv.domain, tasks))
-    else:
-        chunks = [tasks[i::threads] for i in range(threads)]
-        payloads = [
-            (n, B, conv.primitive, conv.sign_fix, conv.domain, chunk)
-            for chunk in chunks
-            if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            total = sum(pool.map(_run_tasks, payloads))
+    threads = max(1, min(threads, len(tasks)))
+    payloads = [
+        (n, B, conv.primitive, conv.sign_fix, conv.domain, tasks[i::threads])
+        for i in range(threads)
+    ]
+    if threads == 1:
+        return _run_tasks(payloads[0])
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return sum(pool.map(_run_tasks, payloads))
 
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return ExactCount(n, B, conv, total, elapsed)
+
+def count_points(
+    n: int,
+    B: int,
+    conv: CountingConvention,
+    threads: int = 1,
+) -> ExactCount:
+    """Exact cardinality of the solution set selected by ``conv``.
+
+    Deterministic for fixed (n, B, conv): the result does not depend on
+    ``threads``.
+    """
+    start = time.perf_counter()
+    total = int(_height_hist(n, B, conv, threads).sum())
+    return ExactCount(n, B, conv, total, (time.perf_counter() - start) * 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,27 +389,14 @@ def mobius_count(n: int, B: int, sign_fix=frozenset(), threads: int = 1) -> int:
     """Primitive count reconstructed by the triple Mobius sum
     sum_{k,l,m} mu(k)mu(l)mu(m) * count(H*klm <= B), FULL domain.
 
-    The inner threshold H <= B/(klm) is exact: heights are integers, so it is
-    evaluated as H <= floor(B/(klm)).  Inner counts share the given sign_fix
-    and are grouped by the distinct values of floor(B/t).
+    Heights are integers, so the inner threshold is H <= floor(B/(klm)).  One
+    pass histograms the non-primitive solutions (with the given sign_fix) by
+    exact height up to B; every inner count is a prefix sum of it.
     """
-    check_dim(n)
-    _validate_bound(B)
-    g = _mu_triple_dirichlet(B)
-    by_floor: dict[int, int] = {}
-    t = 1
-    while t <= B:
-        v = B // t
-        t_hi = B // v
-        block = int(g[t : t_hi + 1].sum())
-        if block:
-            by_floor[v] = by_floor.get(v, 0) + block
-        t = t_hi + 1
     conv = CountingConvention(False, frozenset(sign_fix), Domain.FULL)
-    total = 0
-    for v in sorted(by_floor, reverse=True):
-        total += by_floor[v] * count_points(n, v, conv, threads=threads).count
-    return total
+    cum = list(accumulate(_height_hist(n, B, conv, threads)))
+    g = _mu_triple_dirichlet(B)
+    return sum(int(g[t]) * cum[B // t] for t in range(1, B + 1) if g[t])
 
 
 # ---------------------------------------------------------------------------

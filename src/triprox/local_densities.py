@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import euler_phi, factorize, is_prime, prime_table
+from .arith import _SIEVE_LIMIT, euler_phi, factorize, is_prime, prime_table
 from .errors import BudgetExceededError
 from .lattice import check_dim
 
@@ -230,11 +230,14 @@ def euler_product(n: int, p_max: int, t_max: int = 40) -> EulerProductResult:
     sigma_p - 1 <= 2^(n+2) * p^(-n), so sum_{p > P} |log sigma_p'| <=
     (2^(n+2) + 6) * P^(1-n)/(n-1) (n >= 2; infinite for n = 1, where the
     product itself need not converge), and (ii) the per-factor truncation
-    tails at t_max.  Reported as value * expm1(log-tail).
+    tails at t_max.  Reported as value * expm1(log-tail).  p_max may not
+    exceed the prime table, which would drop factors without widening the tail.
     """
     check_dim(n)
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
+    if p_max > _SIEVE_LIMIT:
+        raise ValueError(f"p_max must be <= {_SIEVE_LIMIT} (the prime table limit), got {p_max}")
     value = 1.0
     log_trunc = 0.0
     factors = []

@@ -14,7 +14,7 @@ from triprox import (
     sigma_infty_components,
     sigma_infty_prime,
 )
-from triprox.archimedean import _offdiag_f
+from triprox.archimedean import Target, _offdiag_f, _tag
 
 
 def combined(se1, se2):
@@ -59,6 +59,28 @@ class TestDeterminism:
         a = mc_sigma_diag(2, 0, 30000, 7)
         b = mc_sigma_diag(2, 1, 30000, 7)
         assert a.mean != b.mean  # independent streams, same integral
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 63])
+    def test_stream_tags_injective(self, n):
+        # every (target, i0, j0, k0) with indices in [0, n] keys its own
+        # stream, also after the 24-bit mask of the Philox key
+        i0, j0, k0 = (a.ravel() for a in np.meshgrid(*[np.arange(n + 1)] * 3, indexing="ij"))
+        tags = np.concatenate([_tag(t, i0, j0, extra=k0) for t in Target])
+        assert len(np.unique(tags & 0xFFFFFF)) == len(tags) == len(Target) * (n + 1) ** 3
+
+    def test_stream_tag_values_pinned(self):
+        # fixed-seed output depends on these values
+        assert _tag(Target.SIGMA_II, 0, 0) == 0
+        assert _tag(Target.SIGMA1, 0, 1) == 262208
+        assert _tag(Target.SIGMA2_PRIME, 2, 1, extra=3) == 1056835
+
+    def test_dimension_beyond_tag_range_refused(self):
+        with pytest.raises(ValueError):
+            mc_sigma_diag(64, 0, 1000, 0)
+        with pytest.raises(ValueError):
+            mc_sigma1(64, 0, 1, 1000, 0)
+        with pytest.raises(ValueError):
+            mc_sigma_prime(64, 0, 1, 1, 1000, 0)
 
 
 class TestBasicContracts:

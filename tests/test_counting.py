@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from triprox import (
@@ -13,6 +14,7 @@ from triprox import (
     mobius_count,
     oracle_sweep,
 )
+from triprox.counting import _height_hist, _kernel_rows
 
 ALL = NAMED_CONVENTIONS["all"]
 
@@ -43,6 +45,31 @@ class TestCountZ:
             count_z_solutions((1, 2, 3), 0)
 
 
+class TestKernelHistogram:
+    @staticmethod
+    def naive_hist(C, Z):
+        hist = [0] * (Z + 1)
+        rng = [v for v in range(-Z, Z + 1) if v != 0]
+        for c in C:
+            for z in itertools.product(rng, repeat=len(c)):
+                if sum(a * b for a, b in zip(c, z)) == 0:
+                    hist[max(map(abs, z))] += 1
+        return hist
+
+    @pytest.mark.parametrize("n, Z", [(1, 6), (2, 4), (3, 3)])
+    def test_matches_literal_scan_by_max_z(self, n, Z):
+        rng = np.random.default_rng(n)
+        C = rng.integers(1, 9, size=(12, n + 1))
+        # rows whose largest coefficient is not in the solved column 0
+        C[:4, 0] = 1
+        C[:4, 1] = 8
+        hist = _kernel_rows(C, Z)
+        assert hist.tolist() == self.naive_hist(C.tolist(), Z)
+        assert hist.sum() > 0
+        # z -> -z preserves max|z|: every bucket pairs up
+        assert not np.any(hist & 1)
+
+
 class TestCountPoints:
     def test_parity_example(self):
         assert count_points(2, 1, ALL).count == 0
@@ -67,6 +94,19 @@ class TestCountPoints:
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             count_points(2, 0, ALL)
+
+    @pytest.mark.parametrize("name", ["all", "primitive-signfixed", "E"])
+    def test_height_split_gives_every_smaller_bound(self, name):
+        conv = NAMED_CONVENTIONS[name]
+        cum = list(itertools.accumulate(_height_hist(2, 12, conv, threads=1)))
+        assert cum[12] == count_points(2, 12, conv).count
+        assert cum[1:12] == [count_points(2, B, conv).count for B in range(1, 12)]
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_nonpositive_threads_run_single_worker(self, threads):
+        conv = NAMED_CONVENTIONS["primitive"]
+        single = count_points(2, 12, conv, threads=1).count
+        assert count_points(2, 12, conv, threads=threads).count == single
 
     def test_thread_count_invariance(self):
         conv = NAMED_CONVENTIONS["primitive"]
@@ -160,6 +200,13 @@ class TestMobiusIdentity:
     def test_sign_fixed_variant(self):
         direct = count_points(2, 25, NAMED_CONVENTIONS["primitive-signfixed"]).count
         assert mobius_count(2, 25, frozenset("xy")) == direct
+
+    def test_n3_matches_direct_primitive_count(self):
+        direct = count_points(3, 8, NAMED_CONVENTIONS["primitive"]).count
+        assert mobius_count(3, 8, frozenset()) == direct
+
+    def test_thread_count_invariance(self):
+        assert mobius_count(3, 8, threads=1) == mobius_count(3, 8, threads=2)
 
     def test_unit_bound_trivial(self):
         assert mobius_count(3, 1, frozenset()) == count_points(3, 1, NAMED_CONVENTIONS["primitive"]).count

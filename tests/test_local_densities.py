@@ -167,3 +167,16 @@ class TestEulerProduct:
 
     def test_n1_tail_infinite(self):
         assert math.isinf(euler_product(1, 50, 20).tail)
+
+    def test_p_max_beyond_prime_table_refused(self):
+        # the table ends at 10^6: a larger p_max would drop factors silently
+        # while shrinking the reported prime tail
+        with pytest.raises(ValueError):
+            euler_product(2, 10**6 + 1, 40)
+        with pytest.raises(ValueError):
+            euler_product(2, 2 * 10**6, 40)
+
+    def test_p_max_at_prime_table_limit_unchanged(self):
+        ep = euler_product(2, 10**6, 40)
+        assert ep.value == 1.046388128921806
+        assert ep.tail == pytest.approx(2.302079206406394e-05, rel=1e-12)
