@@ -60,6 +60,8 @@ class ArchEstimate:
     seed: int
     mean: float
     stderr: float
+    # SIGMA_INF(_PRIME) only: the sigma_infty_components it was built from.
+    components: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +298,9 @@ def sigma_infty(n: int, samples: int, seed: int) -> ArchEstimate:
     pairs, each pair contributing both branches (coordinate symmetry)."""
     parts = sigma_infty_components(n, samples, seed)
     diag, off1, off2 = parts["diag"], parts["off1"], parts["off2"]
-    mean = (n + 1) * diag.mean + n * (n + 1) * (off1.mean + off2.mean)
+    mean = parts["diagonal_total"] + parts["offdiagonal_total"]
     var = ((n + 1) * diag.stderr) ** 2 + (n * (n + 1)) ** 2 * (off1.stderr**2 + off2.stderr**2)
-    return ArchEstimate(Target.SIGMA_INF, 0, None, n, samples, seed, mean, math.sqrt(var))
+    return ArchEstimate(Target.SIGMA_INF, 0, None, n, samples, seed, mean, math.sqrt(var), parts)
 
 
 def sigma_infty_prime(n: int, samples: int, seed: int) -> ArchEstimate:
@@ -308,4 +310,4 @@ def sigma_infty_prime(n: int, samples: int, seed: int) -> ArchEstimate:
     base = sigma_infty(n, samples, seed)
     scale = n / 2.0
     return ArchEstimate(Target.SIGMA_INF_PRIME, 0, None, n, samples, seed,
-                        scale * base.mean, scale * base.stderr)
+                        scale * base.mean, scale * base.stderr, base.components)

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .archimedean import sigma_infty_components
+from .archimedean import sigma_infty_components  # noqa: F401 (not called; a perfbench trace boundary)
 from .assembly import census, predicted_constant
 from .counting import NAMED_CONVENTIONS, count_points, default_threads, mobius_count
 from .delta_method import KernelConfig, delta_series
@@ -111,7 +111,7 @@ def cmd_predict(args) -> int:
     pred = predicted_constant(args.n, args.p_max, args.t_max, args.mc_samples, args.seed)
     ep = pred.euler_product
     arch = pred.sigma_inf_prime
-    parts = sigma_infty_components(args.n, args.mc_samples, args.seed)
+    parts = arch.components
     print(f"predicted constant for n={args.n}")
     print("  rescaled local densities (p <= 20):")
     for p, value in ep.factors:

@@ -17,10 +17,16 @@ its terms collapse to (1 - 1/p) * p^(-n*t) * (1 + t*(1 - 1/p))^(n+1) for t >= 1
 the test suite).  The truncation tail is bounded by the explicit majorant
 (1 + t)^(n+1) * p^(-n*t), summed with a geometric tail once the term ratio
 drops below 0.9.
+
+The truncated sum stops at the first term that leaves the float sum unchanged.
+The terms are positive with ratio p^(-n) * (1 + r/(1 + t*r))^(n+1) <= (4/3)(2/3)^n
+< 1 (r = 1 - 1/p), so each later term is smaller and, float addition being monotone,
+changes nothing either: the result is bit-for-bit the sum over all t <= t_max.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -189,6 +195,19 @@ def _tail_bound(p: int, n: int, t_max: int) -> float:
     return total
 
 
+def _sigma(p: int, n: int, t_max: int) -> tuple[float, float]:
+    """(sigma_p, sigma_p') over t <= t_max, leaving the loop at the first term
+    that no longer changes the float sum (bit-for-bit the full sum; the module
+    docstring gives the argument)."""
+    s = 1.0
+    for t in range(1, t_max + 1):
+        term = _density_term(p, n, t)
+        if s + term == s:
+            break
+        s += term
+    return s, (1.0 - p ** (-n)) ** 3 * s
+
+
 def local_density(p: int, n: int, t_max: int) -> LocalDensityResult:
     """Truncated local density sigma_p with a rigorous truncation tail bound.
 
@@ -200,17 +219,8 @@ def local_density(p: int, n: int, t_max: int) -> LocalDensityResult:
     check_dim(n)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    s = 1.0
-    for t in range(1, t_max + 1):
-        s += _density_term(p, n, t)
-    return LocalDensityResult(
-        p=p,
-        n=n,
-        t_max=t_max,
-        sigma_p=s,
-        sigma_p_prime=(1.0 - p ** (-n)) ** 3 * s,
-        tail_bound=_tail_bound(p, n, t_max),
-    )
+    s, s_prime = _sigma(p, n, t_max)
+    return LocalDensityResult(p, n, t_max, s, s_prime, _tail_bound(p, n, t_max))
 
 
 @dataclass
@@ -232,22 +242,26 @@ def euler_product(n: int, p_max: int, t_max: int = 40) -> EulerProductResult:
     product itself need not converge), and (ii) the per-factor truncation
     tails at t_max.  Reported as value * expm1(log-tail).  p_max may not
     exceed the prime table, which would drop factors without widening the tail.
+    Each t-sum stops at the first term that leaves it unchanged; the terms fall
+    strictly, so it is bit-for-bit the all-t sum.  Primes come from the table.
     """
     check_dim(n)
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
     if p_max > _SIEVE_LIMIT:
         raise ValueError(f"p_max must be <= {_SIEVE_LIMIT} (the prime table limit), got {p_max}")
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    primes = prime_table()
+    stop = bisect.bisect_right(primes, p_max)
     value = 1.0
     log_trunc = 0.0
     factors = []
-    for p in prime_table():
-        if p > p_max:
-            break
-        res = local_density(p, n, t_max)
-        value *= res.sigma_p_prime
-        log_trunc += res.tail_bound / res.sigma_p
-        factors.append((p, res.sigma_p_prime))
+    for p in primes[:stop]:
+        s, s_prime = _sigma(p, n, t_max)
+        value *= s_prime
+        log_trunc += _tail_bound(p, n, t_max) / s
+        factors.append((p, s_prime))
 
     if n == 1:
         log_prime_tail = math.inf
@@ -256,13 +270,11 @@ def euler_product(n: int, p_max: int, t_max: int = 40) -> EulerProductResult:
         # majorant sigma_p - 1 <= 2^(n+2) * p^(-n) is not yet valid.
         p_cut = p_max
         log_small = 0.0
-        for p in prime_table():
-            if p <= p_max:
-                continue
+        for p in primes[stop:]:
             if p**n >= 2 ** (n + 2):
                 break
-            res = local_density(p, n, t_max)
-            log_small += abs(math.log(res.sigma_p_prime)) + res.tail_bound
+            _, s_prime = _sigma(p, n, t_max)
+            log_small += abs(math.log(s_prime)) + _tail_bound(p, n, t_max)
             p_cut = p
         log_prime_tail = log_small + (2 ** (n + 2) + 6) * p_cut ** (1 - n) / (n - 1)
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from triprox import divisor_count, euler_phi, factorize, mobius, ramanujan_sum
-from triprox.arith import mobius_sieve, ramanujan_sum_complex
+from triprox.arith import is_prime, mobius_sieve, ramanujan_sum_complex
 
 
 def test_factorize_roundtrip():
@@ -85,3 +85,12 @@ def test_positive_argument_required():
     for fn in (mobius, euler_phi, divisor_count, factorize):
         with pytest.raises(ValueError):
             fn(0)
+
+
+def test_is_prime_matches_trial_division():
+    for q in range(10**4):
+        trial = q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+        assert is_prime(q) == trial, q
+    assert is_prime(999983) and not is_prime(10**6) and is_prime(1000003)
+    with pytest.raises(ValueError):
+        is_prime(1000003**2)  # beyond the table's trial-division reach (10^12)

@@ -1,8 +1,10 @@
 import csv
 import json
+import re
 
 import pytest
 
+import triprox.archimedean as archimedean
 from triprox.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -113,6 +115,40 @@ class TestPredictAndCompare:
         main(args)
         a, b = read_jsonl(store)
         assert a["C"] == b["C"] and a["sigma_inf_prime"] == b["sigma_inf_prime"]
+
+    @pytest.mark.parametrize("t_max", ["0", "-2", "-3"])
+    def test_predict_t_max_below_one_is_usage_error(self, tmp_path, t_max):
+        assert main(["predict", "--n", "2", "--p-max", "30", "--t-max", t_max,
+                     "--mc-samples", "2000", "--out", str(tmp_path / "runs.jsonl")]) == EXIT_USAGE
+        assert not (tmp_path / "runs.jsonl").exists()
+
+    def test_predict_runs_each_mc_target_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = archimedean._mc_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(archimedean, "_mc_blocks", counting)
+        store = tmp_path / "runs.jsonl"
+        assert main(["predict", "--n", "2", "--p-max", "30", "--t-max", "15",
+                     "--mc-samples", "20000", "--seed", "3", "--out", str(store)]) == EXIT_OK
+        assert len(calls) == 3  # diagonal plus the two off-diagonal branches
+        out = capsys.readouterr().out
+        diag, off = (float(v) for v in re.search(
+            r"diagonal = ([0-9.]+), off-diagonal = ([0-9.]+)", out).groups())
+        rec = read_jsonl(store)[0]
+        n = 2  # sigma_inf' = (n/2) * (diagonal + off-diagonal), each printed to 6 decimals
+        assert (diag + off) * n / 2 == pytest.approx(rec["sigma_inf_prime"], abs=2e-6)
+        # pinned from the engine that ran the MC twice: one run changes no bit
+        assert {k: rec[k] for k in ("euler_product", "euler_tail", "sigma_inf_prime", "C", "C_stderr")} == {
+            "euler_product": 1.011812835765607,
+            "euler_tail": 1.0947925027305738,
+            "sigma_inf_prime": 849.4359088933247,
+            "C": 214.86753894462268,
+            "C_stderr": 232.48920661223409,
+        }
 
     def test_compare_csv_roundtrip(self, tmp_path, capsys):
         store = tmp_path / "runs.jsonl"

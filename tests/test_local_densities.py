@@ -12,6 +12,8 @@ from triprox import (
     zero_freq_total,
 )
 from triprox import divisor_count, euler_phi
+from triprox.arith import prime_table
+from triprox.local_densities import _density_term, _sigma
 
 
 def pair_zero_scan(q):
@@ -145,6 +147,15 @@ class TestLocalDensity:
                 further = local_density(p, 2, t_max + 10)
                 assert further.sigma_p <= res.sigma_p + res.tail_bound
 
+    def test_early_exit_sum_is_the_all_t_sum_bit_for_bit(self):
+        for p in prime_table()[:1229]:  # every prime < 10^4
+            for n in (1, 2, 3, 5):
+                for t_max in (1, 2, 5, 40):
+                    full = 1.0
+                    for t in range(1, t_max + 1):
+                        full += _density_term(p, n, t)
+                    assert _sigma(p, n, t_max) == (full, (1.0 - p ** (-n)) ** 3 * full)
+
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             local_density(6, 2, 5)
@@ -176,7 +187,15 @@ class TestEulerProduct:
         with pytest.raises(ValueError):
             euler_product(2, 2 * 10**6, 40)
 
+    def test_t_max_below_one_refused(self):
+        for t_max in (0, -2, -3):
+            with pytest.raises(ValueError):
+                euler_product(2, 100, t_max)
+
     def test_p_max_at_prime_table_limit_unchanged(self):
         ep = euler_product(2, 10**6, 40)
         assert ep.value == 1.046388128921806
         assert ep.tail == pytest.approx(2.302079206406394e-05, rel=1e-12)
+
+    def test_p_max_at_prime_table_limit_tail_exact(self):
+        assert euler_product(2, 10**6, 40).tail == 2.302079206406394e-05
