@@ -3,11 +3,17 @@
 Two independent implementations share one contract:
 
 * ``count_points`` -- the production path.  It iterates (x, y) grouped by the
-  pair (a, b) of exact max-coordinates, forms the coefficient rows
-  c_i = x_i * y_i, and runs the z-kernel once per pair block (per row chunk
-  of an outsized block): it solves for z_0 (any nonzero coefficient will do,
-  so rows are neither sorted nor deduplicated) and returns a histogram of
-  the solutions by exact max|z|.  Sign-fixing enters through exact
+  pair (a, b) of exact max-coordinates.  A pair block's coefficient rows
+  c_i = x_i * y_i are unchanged, as a multiset, by swapping x and y, and are
+  permuted together with any permutation of the n+1 indices, which the
+  kernel count does not see.  So the side of larger maximum is reduced to
+  one sorted representative per orbit of the index permutations, weighted
+  by the orbit size, and multiplied against every vector of the smaller
+  side; the z-kernel runs once per orbit-size group (per row chunk of an
+  outsized group).  The kernel solves for z_0 (any nonzero coefficient
+  will do, so rows are neither sorted nor deduplicated), scans z_1 > 0 only
+  because z -> -z pairs the solutions, and returns a histogram of the
+  solutions by exact max|z|.  Sign-fixing enters through exact
   per-magnitude-class counts (negation is an involution), and primitivity
   of z through a Mobius inversion of that histogram over the content of z.
   Blocks are summed into one histogram by exact height H = a*b*max|z| in
@@ -24,6 +30,7 @@ deterministic and independent of the number of worker threads.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -133,13 +140,14 @@ def _signed_range(Z: int) -> np.ndarray:
     return r[r != 0]
 
 
-def _z_grid(n: int, Z: int) -> np.ndarray:
-    """All assignments of the n non-solved z coordinates: shape ((2Z)**n, n)."""
-    r = _signed_range(Z)
-    if n == 1:
-        return r.reshape(-1, 1)
-    grids = np.meshgrid(*([r] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _grid(ranges: list[np.ndarray]) -> np.ndarray:
+    """Cartesian product of the ranges, the first varying slowest: shape
+    (prod of lengths, len(ranges)), filled in place without temporaries."""
+    k = len(ranges)
+    out = np.empty([len(r) for r in ranges] + [k], dtype=np.int64)
+    for j, r in enumerate(ranges):
+        out[..., j] = r.reshape([-1 if i == j else 1 for i in range(k)])
+    return out.reshape(-1, k)
 
 
 def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
@@ -149,15 +157,19 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
     for h = 0..Z (hist[0] = 0).  C must have positive entries, in any order:
     the kernel solves for column 0, enumerating the other n coordinates and
     accepting a cell when C[r,0] divides the partial sum with a quotient in
-    [-Z,-1] u [1,Z].  The remainder and the range test are taken once per
-    cell; the quotient and max|z| only on the sparse accepted cells.
+    [-Z,-1] u [1,Z].  z -> -z pairs every solution with one of the same
+    max|z| and the opposite sign of z_1, so only z_1 in [1,Z] is scanned and
+    the histogram doubled.  The remainder and the range test are taken once
+    per cell; the quotient and max|z| only on the sparse accepted cells.
     """
     hist = np.zeros(Z + 1, dtype=np.int64)
     if Z < 1 or len(C) == 0:
         return hist
     n = C.shape[1] - 1
-    grid = _z_grid(n, Z)
-    gmax = np.abs(grid).max(axis=1)
+    grid = _grid([np.arange(1, Z + 1, dtype=np.int64)] + [_signed_range(Z)] * (n - 1))
+    gmax = grid[:, 0].copy()
+    for j in range(1, n):
+        np.maximum(gmax, np.abs(grid[:, j]), out=gmax)
     row_chunk = max(1, _CELL_CHUNK // len(grid))
     for lo in range(0, len(C), row_chunk):
         Cc = C[lo : lo + row_chunk]
@@ -172,7 +184,7 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
         r, g = np.nonzero(hit)
         q = np.abs(s[r, g]) // Cc[r, 0]
         hist += np.bincount(np.maximum(q, gmax[g]), minlength=Z + 1)
-    return hist
+    return 2 * hist
 
 
 def count_z_solutions(c, Z: int) -> int:
@@ -227,6 +239,40 @@ def _exact_max_vectors(n: int, a: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
+def _primitive_rows(V: np.ndarray) -> np.ndarray:
+    """The rows of V with gcd 1."""
+    return V[np.gcd.reduce(V, axis=1) == 1]
+
+
+def _orbit_groups(n: int, m: int, primitive: bool) -> list[tuple[int, np.ndarray]]:
+    """One representative per S_(n+1)-orbit of the positive vectors with max
+    coordinate exactly m (gcd 1 only, with ``primitive``), grouped by orbit
+    size: a list of (orbit size, representatives).
+
+    The representatives are the nondecreasing vectors ending in m, built one
+    coordinate at a time: a row with last entry v extends by v..m.  A sorted
+    vector with runs of lengths r_1, r_2, ... has orbit (n+1)!/prod(r_j!),
+    and prod(r_j!) is the product over coordinates of the current run length.
+    """
+    reps = np.arange(1, m + 1, dtype=np.int64).reshape(-1, 1)
+    for _ in range(n - 1):
+        last = reps[:, -1]
+        counts = m - last + 1
+        parent = np.repeat(np.arange(len(reps)), counts)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        reps = np.column_stack([reps[parent], last[parent] + offset])
+    reps = np.column_stack([reps, np.full(len(reps), m, dtype=np.int64)])
+    if primitive:
+        reps = _primitive_rows(reps)
+    run = np.ones(len(reps), dtype=np.int64)
+    stab = np.ones(len(reps), dtype=np.int64)
+    for j in range(1, n + 1):
+        run = np.where(reps[:, j] == reps[:, j - 1], run + 1, 1)
+        stab *= run
+    orbit = math.factorial(n + 1) // stab
+    return [(int(w), reps[orbit == w]) for w in np.unique(orbit)]
+
+
 def _sign_class_weight(n: int, fixed: bool) -> int:
     """Number of sign patterns of a magnitude class passing the sign-fix filter.
 
@@ -255,37 +301,45 @@ def _pair_admissible(B: int, a: int, b: int, domain: Domain) -> bool:
 
 
 def _count_pair_block(
-    n: int,
-    a: int,
-    b: int,
+    groups: list[tuple[int, np.ndarray]],
+    Q: np.ndarray,
     Z: int,
-    primitive: bool,
     half_z: bool,
     mu: np.ndarray | None,
 ) -> np.ndarray:
-    """Inner-z counts over all positive magnitude pairs with maxima (a, b),
-    as a histogram by exact max|z| (length Z+1).
+    """Inner-z counts over all positive magnitude pairs of a pair block, as
+    a histogram by exact max|z| (length Z+1).
 
-    With ``primitive``, the histogram counts primitive z only: every z of
-    max h is d*z' for its content d and a primitive z' of max h/d, so the
-    primitive histogram is the Mobius inversion over d of the full one.
+    The block with maxima (a, b) has the coefficient rows p*q (entrywise)
+    for p, q of exact max a, b.  Write m = max(a, b) and k = min(a, b):
+    since p*q = q*p, the rows are those of the exact-max-m vectors times the
+    exact-max-k vectors Q.  ``groups`` holds the exact-max-m vectors reduced
+    to one sorted representative r per orbit of the permutations s of the
+    n+1 coordinates, with the orbit size (``_orbit_groups``).  s(r)*q =
+    s(r * s^-1(q)), Q is closed under permutation, and the kernel count is
+    invariant under permuting coordinates, so the orbit of r contributes its
+    size times the kernel histogram of the rows r*Q.  Primitivity (the gcd
+    filter on both sides) is permutation invariant too.
+
+    With the Mobius table ``mu`` (primitive conventions), the histogram
+    counts primitive z only: every z of max h is d*z' for its content d and
+    a primitive z' of max h/d, so the primitive histogram is the Mobius
+    inversion over d of the full one.
     """
-    P = _exact_max_vectors(n, a)
-    Q = _exact_max_vectors(n, b)
-    if primitive:
-        P = P[np.gcd.reduce(P, axis=1) == 1]
-        Q = Q[np.gcd.reduce(Q, axis=1) == 1]
-
+    n1 = Q.shape[1]
     hist = np.zeros(Z + 1, dtype=np.int64)
-    p_chunk = max(1, _CELL_CHUNK // max(len(Q) * (n + 1), 1))
-    for lo in range(0, len(P), p_chunk):
-        C = (P[lo : lo + p_chunk, None, :] * Q[None, :, :]).reshape(-1, n + 1)
-        hist += _kernel_rows(C, Z)
+    r_chunk = max(1, _CELL_CHUNK // max(len(Q) * n1, 1))
+    for weight, R in groups:
+        part = np.zeros(Z + 1, dtype=np.int64)
+        for lo in range(0, len(R), r_chunk):
+            C = (R[lo : lo + r_chunk, None, :] * Q[None, :, :]).reshape(-1, n1)
+            part += _kernel_rows(C, Z)
+        hist += weight * part
     if half_z:
         if np.any(hist & 1):
             raise AssertionError("z-solution counts must pair up under z -> -z")
         hist >>= 1
-    if primitive:
+    if mu is not None:
         prim = np.zeros_like(hist)
         for d in np.flatnonzero(mu[1 : Z + 1]) + 1:
             prim[d::d] += int(mu[d]) * hist[1 : Z // d + 1]
@@ -295,18 +349,31 @@ def _count_pair_block(
 
 def _run_tasks(args: tuple) -> np.ndarray:
     """Worker: weighted histogram by exact height H = a*b*max|z| (H <= B) of
-    the solutions in a slice of (a, b, sym) tasks, as exact Python ints."""
+    the solutions in a slice of (a, b, sym) tasks, as exact Python ints.
+
+    Tasks arrive ordered by max(a, b), so the orbit representatives of each
+    larger magnitude are built once and dropped at the next one.  The smaller
+    magnitude k = min(a, b) has k*k <= a*b <= B, so its tables, kept for the
+    whole slice, number at most isqrt(B).
+    """
     n, B, primitive, sf, domain, tasks = args
     mu = mobius_sieve(B) if primitive else None
     half_z = "z" in sf
     wx = _sign_class_weight(n, "x" in sf)
     wy = _sign_class_weight(n, "y" in sf)
     by_height = np.zeros(B + 1, dtype=object)
+    m_built, groups, small = 0, [], {}
     for a, b, sym in tasks:
         Z = _z_cap(B, a, b, domain)
         if Z < 1:
             continue
-        block = _count_pair_block(n, a, b, Z, primitive, half_z, mu)
+        m, k = max(a, b), min(a, b)
+        if m != m_built:
+            m_built, groups = m, _orbit_groups(n, m, primitive)
+        if k not in small:
+            Q = _exact_max_vectors(n, k)
+            small[k] = _primitive_rows(Q) if primitive else Q
+        block = _count_pair_block(groups, small[k], Z, half_z, mu)
         ab = a * b
         by_height[ab : ab * Z + 1 : ab] += (sym * wx * wy) * block[1:].astype(object)
     return by_height
@@ -338,6 +405,7 @@ def _height_hist(n: int, B: int, conv: CountingConvention, threads: int) -> np.n
                 continue
             sym = 2 if symmetric and b > a else 1
             tasks.append((a, b, sym))
+    tasks.sort(key=lambda t: max(t[0], t[1]))
 
     threads = max(1, min(threads, len(tasks)))
     payloads = [
@@ -449,7 +517,7 @@ def oracle_sweep(n: int, B: int, convs: list[CountingConvention]) -> list[ExactC
 
     def z_pack(Z):
         if Z not in z_by_cap:
-            grid = _z_grid(n + 1, Z)
+            grid = _grid([_signed_range(Z)] * (n + 1))
             mz = np.abs(grid).max(axis=1)
             z_by_cap[Z] = (
                 grid,

@@ -5,6 +5,8 @@ import re
 import pytest
 
 import triprox.archimedean as archimedean
+import triprox.cli as cli
+from triprox import NAMED_CONVENTIONS, count_points
 from triprox.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -168,3 +170,21 @@ class TestPredictAndCompare:
         for row in rec["rows"]:
             if row["count"] > 0:
                 assert row["r"] > 0
+
+    def test_compare_makes_one_counting_pass(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli._height_hist
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_height_hist", counting)
+        store = tmp_path / "runs.jsonl"
+        assert main(["compare", "--n", "2", "--bounds", "12,24", "--p-max", "30", "--t-max", "15",
+                     "--mc-samples", "20000", "--out", str(store)]) == EXIT_OK
+        assert len(calls) == 1
+        conv = NAMED_CONVENTIONS["primitive"]
+        rows = read_jsonl(store)[0]["rows"]
+        assert [(row["B"], row["count"]) for row in rows] == [
+            (B, count_points(2, B, conv).count) for B in (12, 24)]

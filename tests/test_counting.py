@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from triprox import (
     mobius_count,
     oracle_sweep,
 )
-from triprox.counting import _height_hist, _kernel_rows
+from triprox.arith import mobius, mobius_sieve
+from triprox.counting import (
+    _count_pair_block,
+    _exact_max_vectors,
+    _height_hist,
+    _kernel_rows,
+    _orbit_groups,
+)
 
 ALL = NAMED_CONVENTIONS["all"]
 
@@ -70,6 +78,56 @@ class TestKernelHistogram:
         assert not np.any(hist & 1)
 
 
+def _gcd_one(V):
+    return V[np.gcd.reduce(V, axis=1) == 1]
+
+
+class TestOrbitReduction:
+    @staticmethod
+    def literal_block(n, a, b, Z, primitive):
+        """The block over the full P x Q rows, with a literal Mobius step."""
+        P, Q = _exact_max_vectors(n, a), _exact_max_vectors(n, b)
+        if primitive:
+            P, Q = _gcd_one(P), _gcd_one(Q)
+        C = (P[:, None, :] * Q[None, :, :]).reshape(-1, n + 1)
+        hist = _kernel_rows(C, Z).tolist()
+        if not primitive:
+            return hist
+        return [0] + [
+            sum(mobius(d) * hist[h // d] for d in range(1, h + 1) if h % d == 0)
+            for h in range(1, Z + 1)
+        ]
+
+    @pytest.mark.parametrize("primitive", [False, True])
+    @pytest.mark.parametrize(
+        "n, a, b, Z",
+        [(1, 4, 6, 5), (1, 6, 4, 5), (1, 6, 6, 3),
+         (2, 2, 5, 4), (2, 5, 2, 4), (2, 4, 4, 3), (2, 1, 6, 2),
+         (3, 2, 4, 2), (3, 4, 2, 2), (3, 3, 3, 2)],
+    )
+    def test_block_equals_full_row_sum(self, n, a, b, Z, primitive):
+        groups = _orbit_groups(n, max(a, b), primitive)
+        Q = _exact_max_vectors(n, min(a, b))
+        if primitive:
+            Q = _gcd_one(Q)
+        mu = mobius_sieve(Z) if primitive else None
+        block = _count_pair_block(groups, Q, Z, False, mu)
+        assert block.tolist() == self.literal_block(n, a, b, Z, primitive)
+        assert block.sum() > 0
+
+    @pytest.mark.parametrize("primitive", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_weights_are_orbit_sizes(self, n, primitive):
+        for m in range(1, 8):
+            V = _exact_max_vectors(n, m)
+            if primitive:
+                V = _gcd_one(V)
+            orbits = Counter(tuple(sorted(v)) for v in V.tolist())
+            reps = {tuple(r): w for w, R in _orbit_groups(n, m, primitive) for r in R.tolist()}
+            assert reps == orbits
+            assert sum(reps.values()) == len(V)
+
+
 class TestCountPoints:
     def test_parity_example(self):
         assert count_points(2, 1, ALL).count == 0
@@ -123,6 +181,14 @@ class TestOracleEquivalence:
                 fast = [count_points(n, B, c).count for c in convs]
                 slow = [e.count for e in oracle_sweep(n, B, convs)]
                 assert fast == slow
+
+    @pytest.mark.parametrize("n, B", [(3, 4), (3, 5), (3, 6), (2, 9), (2, 10)])
+    def test_repeated_coordinates_all_conventions(self, n, B):
+        # beyond criterion 1's grid, where more vectors repeat a coordinate
+        convs = list(NAMED_CONVENTIONS.values())
+        slow = [e.count for e in oracle_sweep(n, B, convs)]
+        for threads in (1, 2):
+            assert [count_points(n, B, c, threads=threads).count for c in convs] == slow
 
     def test_oracle_budget_guard(self):
         with pytest.raises(BudgetExceededError):
