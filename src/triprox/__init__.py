@@ -30,7 +30,6 @@ from .assembly import (
     CensusResult,
     Prediction,
     census,
-    gamma_factor,
     predicted_constant,
 )
 from .counting import (
@@ -46,14 +45,6 @@ from .counting import (
 )
 from .delta_method import KernelConfig, bump, bump_integral, delta_series, kernel_h, window
 from .errors import BudgetExceededError, OverflowGuardError
-from .lattice import (
-    LatticeVec,
-    TriplePoint,
-    height,
-    is_primitive,
-    sign_fixed,
-    trilinear_form,
-)
 from .local_densities import (
     EulerProductResult,
     LocalDensityResult,

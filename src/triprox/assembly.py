@@ -7,22 +7,15 @@ intersections cover every index.  Their number has the closed form
 three sets, minus the triples using a full set), checked here against direct
 enumeration.
 
-The predicted leading constant is assembled on two routes that agree as an
-algebraic identity:
+The predicted leading constant is
 
-    C = (1/(2n)) * (euler product of rescaled local densities) * sigma_inf'
-      = gamma * delta * tau / (alpha * (beta - 1)!)
-
-with alpha = n, beta = 3, gamma = (integral of exp(-n*y) over y >= 0)^3
-= 1/n^3, delta = 1 (hard-coded), and tau = n^3 * sigma_inf' * euler product.
+    C = (1/(2n)) * (euler product of rescaled local densities) * sigma_inf'.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .archimedean import ArchEstimate, sigma_infty_prime
 from .errors import BudgetExceededError
@@ -70,27 +63,11 @@ def census(n: int, mode: str = "formula") -> CensusResult:
     return CensusResult(n, count, dict(sorted(by_dim.items())))
 
 
-def gamma_factor(n: int) -> float:
-    """Cone integral (integral over y >= 0 of exp(-n*y))^3 = 1/n^3."""
-    check_dim(n)
-    return 1.0 / n**3
-
-
-def gamma_factor_quadrature(n: int, tol: float = 1e-12) -> float:
-    """Quadrature cross-check of gamma_factor."""
-    check_dim(n)
-    value, _ = quad(lambda y: math.exp(-n * y), 0.0, math.inf, epsabs=tol)
-    return value**3
-
-
 @dataclass
 class Prediction:
     n: int
     euler_product: EulerProductResult
     sigma_inf_prime: ArchEstimate
-    alpha: int
-    beta: int
-    gamma: float
     C: float
     C_stderr: float
 
@@ -99,9 +76,8 @@ def predicted_constant(n: int, p_max: int, t_max: int, mc_samples: int, seed: in
     """Predicted leading constant C with propagated uncertainty.
 
     C_stderr combines the Monte Carlo stderr of the archimedean factor with
-    the Euler-product tail estimate in quadrature.  The two assembly routes
-    (direct and cone/Tamagawa-style) are asserted to agree to 1e-12 relative.
-    The MC runs once; sigma_inf_prime.components holds its diagonal/off-diagonal split.
+    the Euler-product tail estimate in quadrature.  The MC runs once;
+    sigma_inf_prime.components holds its diagonal/off-diagonal split.
     """
     check_dim(n)
     if n < 2:
@@ -109,22 +85,5 @@ def predicted_constant(n: int, p_max: int, t_max: int, mc_samples: int, seed: in
     ep = euler_product(n, p_max, t_max)
     arch = sigma_infty_prime(n, mc_samples, seed)
     C = ep.value * arch.mean / (2.0 * n)
-
-    alpha, beta, delta = n, 3, 1.0
-    gamma = gamma_factor(n)
-    tau = n**3 * arch.mean * ep.value
-    C_alt = gamma * delta * tau / (alpha * math.factorial(beta - 1))
-    if abs(C - C_alt) > 1e-12 * max(1.0, abs(C)):
-        raise ArithmeticError(f"assembly routes disagree: {C} vs {C_alt}")
-
     C_stderr = math.hypot(ep.value * arch.stderr, ep.tail * arch.mean) / (2.0 * n)
-    return Prediction(
-        n=n,
-        euler_product=ep,
-        sigma_inf_prime=arch,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        C=C,
-        C_stderr=C_stderr,
-    )
+    return Prediction(n=n, euler_product=ep, sigma_inf_prime=arch, C=C, C_stderr=C_stderr)

@@ -93,11 +93,9 @@ def cmd_count(args) -> int:
         t0 = time.perf_counter()
         if args.convention == "mobius":
             value = mobius_count(args.n, B, frozenset(), threads=threads)
-            elapsed_ms = (time.perf_counter() - t0) * 1000.0
         else:
-            conv = NAMED_CONVENTIONS[args.convention]
-            result = count_points(args.n, B, conv, threads=threads)
-            value, elapsed_ms = result.count, result.elapsed_ms
+            value = count_points(args.n, B, NAMED_CONVENTIONS[args.convention], threads=threads).count
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0
         record = RunRecord(
             "count",
             {"n": args.n, "B": B, "convention": args.convention},

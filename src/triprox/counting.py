@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -54,6 +53,11 @@ _MAX_BOUND = 2**30
 # per array, so a pair block's working set is a few of them plus its z-grid.
 _CELL_CHUNK = 1 << 18
 _ORACLE_OPS_BUDGET = 400_000_000
+
+# Largest z-grid the kernel builds, Z*(2Z)^(n-1) cells of (n+1) int64 each
+# (the grid and its max|z|).  It admits n=2 up to B=4096 and n=3 up to
+# B=203, and refuses n=3, B=300 (108M cells, 3.5 GB).
+_Z_GRID_BUDGET = 1 << 25
 
 
 class Domain(Enum):
@@ -108,7 +112,6 @@ class ExactCount:
     B: int
     convention: CountingConvention
     count: int
-    elapsed_ms: float = 0.0
 
 
 def _icbrt(x: int) -> int:
@@ -133,6 +136,15 @@ def _validate_bound(B: int) -> None:
 # ---------------------------------------------------------------------------
 # Inner kernel: number of z in the punctured box with sum(c_i z_i) = 0
 # ---------------------------------------------------------------------------
+
+
+def _check_z_grid(n: int, Z: int) -> None:
+    """Refuse a kernel z-grid (Z*(2Z)^(n-1) cells) beyond the memory budget."""
+    cells = Z * (2 * Z) ** (n - 1)
+    if cells > _Z_GRID_BUDGET:
+        raise BudgetExceededError(
+            f"z-grid of {cells} cells (n={n}, Z={Z}) exceeds the {_Z_GRID_BUDGET}-cell kernel budget"
+        )
 
 
 def _signed_range(Z: int) -> np.ndarray:
@@ -202,6 +214,7 @@ def count_z_solutions(c, Z: int) -> int:
         raise ValueError(f"Z must be a positive integer, got {Z!r}")
     if max(abs(v) for v in c) * Z * len(c) >= 2**62:
         raise OverflowGuardError("coefficient/Z magnitudes exceed the int64-safe range")
+    _check_z_grid(len(c) - 1, Z)
     row = np.array([abs(v) for v in c], dtype=np.int64)
     return int(_kernel_rows(row.reshape(1, -1), Z).sum())
 
@@ -239,9 +252,9 @@ def _exact_max_vectors(n: int, a: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def _primitive_rows(V: np.ndarray) -> np.ndarray:
-    """The rows of V with gcd 1."""
-    return V[np.gcd.reduce(V, axis=1) == 1]
+def _primitive_mask(V: np.ndarray) -> np.ndarray:
+    """Literal primitivity predicate per row: the coordinates have gcd 1."""
+    return np.gcd.reduce(np.abs(V), axis=1) == 1
 
 
 def _orbit_groups(n: int, m: int, primitive: bool) -> list[tuple[int, np.ndarray]]:
@@ -263,7 +276,7 @@ def _orbit_groups(n: int, m: int, primitive: bool) -> list[tuple[int, np.ndarray
         reps = np.column_stack([reps[parent], last[parent] + offset])
     reps = np.column_stack([reps, np.full(len(reps), m, dtype=np.int64)])
     if primitive:
-        reps = _primitive_rows(reps)
+        reps = reps[_primitive_mask(reps)]
     run = np.ones(len(reps), dtype=np.int64)
     stab = np.ones(len(reps), dtype=np.int64)
     for j in range(1, n + 1):
@@ -372,7 +385,7 @@ def _run_tasks(args: tuple) -> np.ndarray:
             m_built, groups = m, _orbit_groups(n, m, primitive)
         if k not in small:
             Q = _exact_max_vectors(n, k)
-            small[k] = _primitive_rows(Q) if primitive else Q
+            small[k] = Q[_primitive_mask(Q)] if primitive else Q
         block = _count_pair_block(groups, small[k], Z, half_z, mu)
         ab = a * b
         by_height[ab : ab * Z + 1 : ab] += (sym * wx * wy) * block[1:].astype(object)
@@ -393,6 +406,8 @@ def _height_hist(n: int, B: int, conv: CountingConvention, threads: int) -> np.n
         raise ValueError("conv must be a CountingConvention")
     if n * B * B >= 2**62:
         raise OverflowGuardError(f"(n={n}, B={B}) would overflow the int64 kernel sums")
+    # The (1, 1) block has the largest z-cap of all.
+    _check_z_grid(n, _z_cap(B, 1, 1, conv.domain))
 
     # For x<->y symmetric filters on the FULL domain, (a, b) and (b, a)
     # contribute equally; fold the triangle.
@@ -429,9 +444,7 @@ def count_points(
     Deterministic for fixed (n, B, conv): the result does not depend on
     ``threads``.
     """
-    start = time.perf_counter()
-    total = int(_height_hist(n, B, conv, threads).sum())
-    return ExactCount(n, B, conv, total, (time.perf_counter() - start) * 1000.0)
+    return ExactCount(n, B, conv, int(_height_hist(n, B, conv, threads).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +519,6 @@ def oracle_sweep(n: int, B: int, convs: list[CountingConvention]) -> list[ExactC
     mask.  Refuses oversized scans."""
     check_dim(n)
     _validate_bound(B)
-    start = time.perf_counter()
     if _oracle_budget(n, B) > _ORACLE_OPS_BUDGET:
         raise BudgetExceededError(f"oracle scan for (n={n}, B={B}) exceeds the test budget")
 
@@ -523,18 +535,18 @@ def oracle_sweep(n: int, B: int, convs: list[CountingConvention]) -> list[ExactC
                 grid,
                 mz,
                 _first_max_positive(grid),
-                np.gcd.reduce(np.abs(grid), axis=1) == 1,
+                _primitive_mask(grid),
             )
         return z_by_cap[Z]
 
     for a in range(1, B + 1):
         X = _signed_exact_max(n, a)
-        x_prim = np.gcd.reduce(np.abs(X), axis=1) == 1
+        x_prim = _primitive_mask(X)
         x_sf = _first_max_positive(X)
         for b in range(1, B // a + 1):
             Y = _signed_exact_max(n, b)
             sf_y = _first_max_positive(Y)
-            prim_y = np.gcd.reduce(np.abs(Y), axis=1) == 1
+            prim_y = _primitive_mask(Y)
             Z = B // (a * b)
             grid, mz, sf_z, prim_z = z_pack(Z)
             height_ok = a * b * mz <= B
@@ -580,8 +592,7 @@ def oracle_sweep(n: int, B: int, convs: list[CountingConvention]) -> list[ExactC
                     ymask, zmask = masks
                     totals[ci] += int(ymask @ (sol @ zmask))
 
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return [ExactCount(n, B, conv, t, elapsed) for conv, t in zip(convs, totals)]
+    return [ExactCount(n, B, conv, t) for conv, t in zip(convs, totals)]
 
 
 def count_points_oracle(n: int, B: int, conv: CountingConvention) -> ExactCount:

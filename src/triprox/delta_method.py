@@ -22,6 +22,11 @@ from functools import lru_cache
 from scipy.integrate import quad
 
 from .arith import ramanujan_sum
+from .errors import BudgetExceededError
+
+# Largest q_max a KernelConfig admits: kernel_h(q/Q, .) walks a set of about
+# Q/(2q) integers, and the q-sum makes q_max kernel and Ramanujan-sum calls.
+_MAX_Q_MAX = 100_000
 
 
 def bump(x: float) -> float:
@@ -97,6 +102,8 @@ class KernelConfig:
             q_max = math.ceil(2 * Q)
         if q_max < Q:
             raise ValueError(f"q_max={q_max} must be >= Q={Q}")
+        if q_max > _MAX_Q_MAX:
+            raise BudgetExceededError(f"q_max={q_max} exceeds the delta-series budget of {_MAX_Q_MAX}")
         c0 = _c0(tol)
         if c0 <= 0:
             raise ArithmeticError("bump integral must be positive")

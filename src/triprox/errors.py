@@ -6,4 +6,4 @@ class OverflowGuardError(ArithmeticError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A brute-force oracle refused to run because the scan would be too large."""
+    """A scan or table would exceed its stated size budget, so the run is refused."""

@@ -1,74 +1,10 @@
-"""Domain types and exact predicates for triples of nonzero integer vectors.
+"""Validation of the ambient dimension n shared by every module.
 
-A projective point on each factor is represented by an affine cone
-representative: an (n+1)-tuple of nonzero integers.  The trilinear form
-F(x, y, z) = x0*y0*z0 + ... + xn*yn*zn is evaluated exactly, and the
-multiprojective height is the product of the three max-absolute coordinates.
-
-All operations are pure functions on immutable values.
+A point on the hypersurface is a triple of (n+1)-tuples of nonzero integers;
+the predicates on such vectors (primitivity, sign-fix) live in ``counting``.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-
-from .errors import OverflowGuardError
-
-# Coordinates are kept within a 63-bit magnitude so that products of three of
-# them, summed over n+1 terms, stay well inside 128-bit headroom (Python ints
-# are exact anyway; the guard enforces the documented contract).
-MAX_COORD = 2**63 - 1
-_SUM_GUARD = 2**126
-
-
-@dataclass(frozen=True)
-class LatticeVec:
-    """An (n+1)-tuple of nonzero integers (one cone representative)."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) < 2:
-            raise ValueError("need at least 2 coordinates (ambient dimension n >= 1)")
-        for c in self.coords:
-            if not isinstance(c, int):
-                raise TypeError(f"coordinates must be ints, got {type(c).__name__}")
-            if c == 0:
-                raise ValueError("all coordinates must be nonzero")
-            if abs(c) > MAX_COORD:
-                raise OverflowGuardError(f"|coordinate| {abs(c)} exceeds 63-bit magnitude")
-
-    @property
-    def dim(self) -> int:
-        """Ambient dimension n (the vector has n+1 coordinates)."""
-        return len(self.coords) - 1
-
-    def max_abs(self) -> int:
-        return max(abs(c) for c in self.coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-
-@dataclass(frozen=True)
-class TriplePoint:
-    """A triple (x, y, z) of lattice vectors of a common ambient dimension."""
-
-    x: LatticeVec
-    y: LatticeVec
-    z: LatticeVec
-
-    def __post_init__(self):
-        if not (self.x.dim == self.y.dim == self.z.dim):
-            raise ValueError("x, y, z must have the same ambient dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.x.dim
 
 
 def check_dim(n: int) -> int:
@@ -76,47 +12,3 @@ def check_dim(n: int) -> int:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"ambient dimension must be an integer >= 1, got {n!r}")
     return n
-
-
-def _guard_products(p: TriplePoint) -> None:
-    n = p.dim
-    bound = p.x.max_abs() * p.y.max_abs() * p.z.max_abs()
-    if (n + 1) * bound >= _SUM_GUARD:
-        raise OverflowGuardError(
-            f"trilinear products up to {(n + 1) * bound} exceed the 126-bit guard"
-        )
-
-
-def trilinear_form(p: TriplePoint) -> int:
-    """Exact value of x0*y0*z0 + ... + xn*yn*zn."""
-    _guard_products(p)
-    return sum(a * b * c for a, b, c in zip(p.x, p.y, p.z))
-
-
-def height(p: TriplePoint) -> int:
-    """Multiprojective height: max|x_i| * max|y_j| * max|z_k| (always >= 1)."""
-    _guard_products(p)
-    return p.x.max_abs() * p.y.max_abs() * p.z.max_abs()
-
-
-def is_primitive(v: LatticeVec) -> bool:
-    """True iff gcd of all coordinates is 1."""
-    g = 0
-    for c in v:
-        g = math.gcd(g, c)
-        if g == 1:
-            return True
-    return g == 1
-
-
-def sign_fixed(v: LatticeVec) -> bool:
-    """True iff the first coordinate attaining the maximal absolute value is positive.
-
-    Ties among |v_i| are broken by lowest index, which makes negation an exact
-    involution: exactly one of v, -v is sign-fixed.
-    """
-    m = v.max_abs()
-    for c in v:
-        if abs(c) == m:
-            return c > 0
-    raise AssertionError("unreachable: nonempty vector has a maximal coordinate")

@@ -1,7 +1,6 @@
 import pytest
 
-from triprox import BudgetExceededError, census, gamma_factor, predicted_constant
-from triprox.assembly import gamma_factor_quadrature
+from triprox import BudgetExceededError, census, predicted_constant
 
 
 class TestCensus:
@@ -28,16 +27,6 @@ class TestCensus:
             census(2, "guess")
 
 
-class TestGammaFactor:
-    def test_values(self):
-        assert gamma_factor(1) == 1.0
-        assert gamma_factor(2) == 0.125
-
-    def test_quadrature_cross_check(self):
-        for n in (1, 2, 3):
-            assert abs(gamma_factor_quadrature(n) - gamma_factor(n)) < 1e-10
-
-
 class TestPredictedConstant:
     def test_positive_and_reproducible(self):
         a = predicted_constant(2, 50, 25, 20000, 0)
@@ -45,14 +34,6 @@ class TestPredictedConstant:
         assert a.C > 0
         assert a.C == b.C
         assert a.C_stderr == b.C_stderr
-        assert a.alpha == 2 and a.beta == 3 and a.gamma == 0.125
-
-    def test_assembly_routes_agree(self):
-        # the dual-route identity is asserted inside; reaching here means it held
-        pred = predicted_constant(3, 30, 20, 20000, 1)
-        tau = pred.n**3 * pred.sigma_inf_prime.mean * pred.euler_product.value
-        alt = pred.gamma * tau / (pred.alpha * 2)
-        assert pred.C == pytest.approx(alt, rel=1e-12)
 
     def test_stability_and_stderr_shrink(self):
         base = predicted_constant(2, 60, 25, 20000, 0)

@@ -1,11 +1,14 @@
 import csv
 import json
 import re
+import time
 
 import pytest
 
 import triprox.archimedean as archimedean
 import triprox.cli as cli
+import triprox.counting as counting
+import triprox.delta_method as delta_method
 from triprox import NAMED_CONVENTIONS, count_points
 from triprox.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -68,6 +71,13 @@ class TestCount:
     def test_overflow_guard_maps_to_numeric_exit(self):
         assert main(["count", "--n", "2", "--bound", str(2**40)]) == EXIT_NUMERIC
 
+    def test_z_grid_budget_exit(self, monkeypatch):
+        def no_grid(ranges):
+            raise AssertionError("the z-grid must not be built")
+
+        monkeypatch.setattr(counting, "_grid", no_grid)
+        assert main(["count", "--n", "3", "--bound", "2000"]) == EXIT_BUDGET
+
     def test_threads_env_override(self, monkeypatch):
         from triprox.counting import default_threads
 
@@ -89,6 +99,15 @@ class TestCensusAndDelta:
 
     def test_census_budget_exit(self):
         assert main(["census", "--n", "6", "--mode", "oracle"]) == EXIT_BUDGET
+
+    def test_delta_budget_exit(self, monkeypatch):
+        def no_kernel(x, y, c0=None):
+            raise AssertionError("the kernel's j-set must not be built")
+
+        monkeypatch.setattr(delta_method, "kernel_h", no_kernel)
+        start = time.perf_counter()
+        assert main(["delta", "--Q", "1e9"]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1.0
 
     def test_delta_identity_smoke(self, capsys, tmp_path):
         store = tmp_path / "runs.jsonl"

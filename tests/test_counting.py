@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -19,9 +20,11 @@ from triprox.arith import mobius, mobius_sieve
 from triprox.counting import (
     _count_pair_block,
     _exact_max_vectors,
+    _first_max_positive,
     _height_hist,
     _kernel_rows,
     _orbit_groups,
+    _primitive_mask,
 )
 
 ALL = NAMED_CONVENTIONS["all"]
@@ -51,6 +54,37 @@ class TestCountZ:
             count_z_solutions((1, 0, 2), 3)
         with pytest.raises(ValueError):
             count_z_solutions((1, 2, 3), 0)
+
+    def test_z_grid_budget(self):
+        with pytest.raises(BudgetExceededError):
+            count_z_solutions((1, 2, 3, 4), 300)
+
+
+def rows(*vectors):
+    return np.array(vectors, dtype=np.int64)
+
+
+class TestPredicates:
+    """The sign-fix and primitivity predicates shared by the engine and the oracle."""
+
+    def test_primitive(self):
+        assert _primitive_mask(rows((2, 4, 6), (1, 7, -9), (6, 10, 15))).tolist() == [False, True, True]
+
+    def test_sign_fix(self):
+        assert _first_max_positive(rows((3, -3, 1), (-3, 3, 1), (1, 1, 1))).tolist() == [True, False, True]
+
+    def test_negation_involution(self):
+        rng = np.random.default_rng(7)
+        V = rng.integers(1, 6, size=(500, 4)) * rng.choice([-1, 1], size=(500, 4))
+        V = np.concatenate([rows((3, -3, 1, 2), (-2, 5, 5, 1), (1, 1, -1, 1), (-7, 2, 7, 7)), V])
+        assert np.all(_first_max_positive(V) != _first_max_positive(-V))
+
+    def test_primitive_matches_gcd_fold(self):
+        rng = np.random.default_rng(11)
+        for k in (2, 3, 4):
+            V = rng.integers(1, 13, size=(400, k)) * rng.choice([-1, 1], size=(400, k))
+            expected = [math.gcd(*map(int, v)) == 1 for v in V]
+            assert _primitive_mask(V).tolist() == expected
 
 
 class TestKernelHistogram:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from triprox import KernelConfig, bump, bump_integral, delta_series, kernel_h, window
+from triprox import BudgetExceededError, KernelConfig, bump, bump_integral, delta_series, kernel_h, window
 
 C0_GOLDEN = 0.4439938161680786  # frozen from the first converged quadrature run
 
@@ -118,3 +118,7 @@ class TestDeltaSeries:
             KernelConfig.build(1.0)
         with pytest.raises(ValueError):
             KernelConfig.build(8.0, q_max=4)
+        with pytest.raises(BudgetExceededError):
+            KernelConfig.build(8.0, q_max=10**9)
+        with pytest.raises(BudgetExceededError):
+            KernelConfig.build(1e9)
