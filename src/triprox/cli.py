@@ -22,7 +22,7 @@ from itertools import accumulate
 from . import __version__
 from .archimedean import sigma_infty_components  # noqa: F401 (not called; a perfbench trace boundary)
 from .assembly import census, predicted_constant
-from .counting import NAMED_CONVENTIONS, _height_hist, count_points, default_threads, mobius_count
+from .counting import NAMED_CONVENTIONS, _height_hist, count_points, mobius_count
 from .delta_method import KernelConfig, delta_series
 from .errors import BudgetExceededError, OverflowGuardError
 
@@ -88,13 +88,12 @@ def _parse_l_range(text: str) -> tuple[int, int]:
 
 
 def cmd_count(args) -> int:
-    threads = args.threads if args.threads else default_threads()
     for B in args.bound:
         t0 = time.perf_counter()
         if args.convention == "mobius":
-            value = mobius_count(args.n, B, frozenset(), threads=threads)
+            value = mobius_count(args.n, B, frozenset(), threads=args.threads)
         else:
-            value = count_points(args.n, B, NAMED_CONVENTIONS[args.convention], threads=threads).count
+            value = count_points(args.n, B, NAMED_CONVENTIONS[args.convention], threads=args.threads).count
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         record = RunRecord(
             "count",
@@ -175,12 +174,11 @@ def cmd_census(args) -> int:
 def cmd_compare(args) -> int:
     if any(B < 2 for B in args.bounds):
         raise ValueError("compare requires bounds >= 2 (log(B)^2 vanishes at B = 1)")
-    threads = args.threads if args.threads else default_threads()
     pred = predicted_constant(args.n, args.p_max, args.t_max, args.mc_samples, args.seed)
     # On the FULL domain the count at B' <= B is the part of the count at B
     # of height <= B', so one pass at the largest bound gives every N(B').
     conv = NAMED_CONVENTIONS["primitive"]
-    cum = list(accumulate(_height_hist(args.n, max(args.bounds), conv, threads)))
+    cum = list(accumulate(_height_hist(args.n, max(args.bounds), conv, args.threads)))
     rows = []
     for B in args.bounds:
         count = cum[B]
@@ -229,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--convention", default="all",
                          choices=sorted(NAMED_CONVENTIONS) + ["mobius"],
                          help="which solutions to count")
-    p_count.add_argument("--threads", type=int, default=0,
-                         help="worker processes (default: TRIPROX_THREADS or 1)")
+    p_count.add_argument("--threads", type=int, default=1, help="worker processes")
     p_count.add_argument("--out", default=None, help="JSON-lines store to append to")
     p_count.set_defaults(func=cmd_count)
 
@@ -264,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--t-max", type=int, default=40)
     p_cmp.add_argument("--mc-samples", type=int, default=1_000_000)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--threads", type=int, default=0)
+    p_cmp.add_argument("--threads", type=int, default=1)
     p_cmp.add_argument("--csv", default=None, help="CSV export path")
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)

@@ -2,23 +2,27 @@
 
 Two independent implementations share one contract:
 
-* ``count_points`` -- the production path.  It iterates (x, y) grouped by the
-  pair (a, b) of exact max-coordinates.  A pair block's coefficient rows
-  c_i = x_i * y_i are unchanged, as a multiset, by swapping x and y, and are
-  permuted together with any permutation of the n+1 indices, which the
-  kernel count does not see.  So the side of larger maximum is reduced to
-  one sorted representative per orbit of the index permutations, weighted
-  by the orbit size, and multiplied against every vector of the smaller
-  side; the z-kernel runs once per orbit-size group (per row chunk of an
-  outsized group).  The kernel solves for z_0 (any nonzero coefficient
-  will do, so rows are neither sorted nor deduplicated), scans z_1 > 0 only
-  because z -> -z pairs the solutions, and returns a histogram of the
-  solutions by exact max|z|.  Sign-fixing enters through exact
-  per-magnitude-class counts (negation is an involution), and primitivity
-  of z through a Mobius inversion of that histogram over the content of z.
-  Blocks are summed into one histogram by exact height H = a*b*max|z| in
-  Python ints: ``count_points`` returns its total, and ``mobius_count``
-  reads all its inner counts off its prefix sums.
+* ``count_points`` -- the production path.  It iterates (x, y) grouped by
+  the pair (a, b) of exact max-coordinates, one pair block per unordered
+  pair of magnitudes m >= k.  The coefficient rows c_i = x_i * y_i of the
+  orders (m, k) and (k, m) are the same multiset, because p*q = q*p, and
+  they are permuted together with any permutation of the n+1 indices,
+  which the kernel count does not see.  So the side of larger maximum m is
+  reduced to one sorted representative per orbit of the index
+  permutations, weighted by the orbit size, and multiplied against every
+  vector of the smaller side; the z-kernel runs once per orbit-size group
+  (per row chunk of an outsized group).  The kernel solves for z_0 (any
+  nonzero coefficient will do, so rows are neither sorted nor
+  deduplicated), scans z_1 > 0 only because z -> -z pairs the solutions,
+  and returns a histogram of the solutions by exact max|z|.  A domain acts
+  only through the z-cap of each order (0 when the order is excluded), so
+  the block runs once at the larger cap and each order adds the prefix up
+  to its own cap.  Sign-fixing enters through exact per-magnitude-class
+  counts (negation is an involution), and primitivity of z through a
+  Mobius inversion of that histogram over the content of z.  Blocks are
+  summed into one histogram by exact height H = m*k*max|z| in Python ints:
+  ``count_points`` returns its total, and ``mobius_count`` reads all its
+  inner counts off its prefix sums.
 
 * ``count_points_oracle`` -- a deliberately naive scan that enumerates signed
   coordinate tuples directly, tests the trilinear sum literally, and applies
@@ -31,7 +35,6 @@ deterministic and independent of the number of worker threads.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -58,6 +61,13 @@ _ORACLE_OPS_BUDGET = 400_000_000
 # (the grid and its max|z|).  It admits n=2 up to B=4096 and n=3 up to
 # B=203, and refuses n=3, B=300 (108M cells, 3.5 GB).
 _Z_GRID_BUDGET = 1 << 25
+
+# Largest bound the engine takes on.  The z-grid budget alone admits n=1 up
+# to B=2^25 (its grid is only Z cells) and any B below the int64 guard on
+# DZX (which caps z at B^(1/3)), where the ~B log B pair blocks put the count
+# out of reach.  2^16 admits every bound the z-grid budget admits on FULL for
+# n >= 2 (4096 at n=2).
+_BOUND_BUDGET = 1 << 16
 
 
 class Domain(Enum):
@@ -298,19 +308,15 @@ def _sign_class_weight(n: int, fixed: bool) -> int:
 def _z_cap(B: int, a: int, b: int, domain: Domain) -> int:
     """Largest admissible max|z| for exact maxima (a, b), or 0 when none."""
     Z = B // (a * b)
+    if domain is Domain.DXY and ((a * b) ** 3 > B * B or a**3 > B):
+        return 0
     if domain is Domain.DYZ:
+        if b**3 > B:
+            return 0
         Z = min(Z, _icbrt(B * B // (b * b * b)))
     elif domain is Domain.DZX:
         Z = min(Z, _icbrt(B * B // (a * a * a)), _icbrt(B))
     return Z
-
-
-def _pair_admissible(B: int, a: int, b: int, domain: Domain) -> bool:
-    if domain is Domain.DXY:
-        return (a * b) ** 3 <= B * B and a**3 <= B
-    if domain is Domain.DYZ:
-        return b**3 <= B
-    return True
 
 
 def _count_pair_block(
@@ -361,34 +367,42 @@ def _count_pair_block(
 
 
 def _run_tasks(args: tuple) -> np.ndarray:
-    """Worker: weighted histogram by exact height H = a*b*max|z| (H <= B) of
-    the solutions in a slice of (a, b, sym) tasks, as exact Python ints.
+    """Worker: histogram by exact height H = a*b*max|z| (H <= B), as exact
+    Python ints, of the solutions whose larger magnitude m = max(a, b) lies
+    in the worker's stripe of magnitudes.
 
-    Tasks arrive ordered by max(a, b), so the orbit representatives of each
-    larger magnitude are built once and dropped at the next one.  The smaller
-    magnitude k = min(a, b) has k*k <= a*b <= B, so its tables, kept for the
-    whole slice, number at most isqrt(B).
+    Each m builds its orbit representatives once and runs one pair block per
+    smaller magnitude k <= min(m, B // m), shared by the orders (m, k) and
+    (k, m): their rows are the same because p*q = q*p, their heights are
+    m*k*h and their sign weight is the same product.  The block runs at the
+    larger z-cap of the two orders, and each order adds the prefix up to its
+    own cap: the histogram is by exact max|z|, and the Mobius step and the
+    z-halving commute with truncation.  k*k <= m*k <= B, so the smaller
+    side's tables, kept for the whole stripe, number at most isqrt(B).
     """
-    n, B, primitive, sf, domain, tasks = args
+    n, B, primitive, sf, domain, stripe = args
     mu = mobius_sieve(B) if primitive else None
     half_z = "z" in sf
-    wx = _sign_class_weight(n, "x" in sf)
-    wy = _sign_class_weight(n, "y" in sf)
+    weight = _sign_class_weight(n, "x" in sf) * _sign_class_weight(n, "y" in sf)
     by_height = np.zeros(B + 1, dtype=object)
-    m_built, groups, small = 0, [], {}
-    for a, b, sym in tasks:
-        Z = _z_cap(B, a, b, domain)
-        if Z < 1:
+    small = {}
+    for m in stripe:
+        blocks = []
+        for k in range(1, min(m, B // m) + 1):
+            caps = [_z_cap(B, a, b, domain) for a, b in {(m, k), (k, m)}]  # one order when k == m
+            if max(caps) >= 1:
+                blocks.append((k, caps))
+        if not blocks:
             continue
-        m, k = max(a, b), min(a, b)
-        if m != m_built:
-            m_built, groups = m, _orbit_groups(n, m, primitive)
-        if k not in small:
-            Q = _exact_max_vectors(n, k)
-            small[k] = Q[_primitive_mask(Q)] if primitive else Q
-        block = _count_pair_block(groups, small[k], Z, half_z, mu)
-        ab = a * b
-        by_height[ab : ab * Z + 1 : ab] += (sym * wx * wy) * block[1:].astype(object)
+        groups = _orbit_groups(n, m, primitive)
+        for k, caps in blocks:
+            if k not in small:
+                Q = _exact_max_vectors(n, k)
+                small[k] = Q[_primitive_mask(Q)] if primitive else Q
+            block = _count_pair_block(groups, small[k], max(caps), half_z, mu)[1:].astype(object)
+            mk = m * k
+            for Z in caps:
+                by_height[mk : mk * Z + 1 : mk] += weight * block[:Z]
     return by_height
 
 
@@ -396,12 +410,15 @@ def _height_hist(n: int, B: int, conv: CountingConvention, threads: int) -> np.n
     """Counts by exact height H = 0..B of the solutions selected by ``conv``,
     as an object array of Python ints.
 
-    Work is partitioned over exact (max|x|, max|y|) pairs, striped over at
-    most ``threads`` worker processes (one when threads <= 1), and reduced by
-    exact integer summation, so the result does not depend on ``threads``.
+    Work is partitioned by the larger magnitude m = max(max|x|, max|y|):
+    worker i of at most ``threads`` (one when threads <= 1) takes
+    m = i+1, i+1+threads, ...  The workers' histograms are reduced by exact
+    integer summation, so the result does not depend on ``threads``.
     """
     check_dim(n)
     _validate_bound(B)
+    if B > _BOUND_BUDGET:
+        raise BudgetExceededError(f"bound {B} exceeds the counting engine's budget of {_BOUND_BUDGET}")
     if not isinstance(conv, CountingConvention):
         raise ValueError("conv must be a CountingConvention")
     if n * B * B >= 2**62:
@@ -409,22 +426,9 @@ def _height_hist(n: int, B: int, conv: CountingConvention, threads: int) -> np.n
     # The (1, 1) block has the largest z-cap of all.
     _check_z_grid(n, _z_cap(B, 1, 1, conv.domain))
 
-    # For x<->y symmetric filters on the FULL domain, (a, b) and (b, a)
-    # contribute equally; fold the triangle.
-    symmetric = conv.domain is Domain.FULL and (("x" in conv.sign_fix) == ("y" in conv.sign_fix))
-    tasks = []
-    for a in range(1, B + 1):
-        b_lo = a if symmetric else 1
-        for b in range(b_lo, B // a + 1):
-            if not _pair_admissible(B, a, b, conv.domain):
-                continue
-            sym = 2 if symmetric and b > a else 1
-            tasks.append((a, b, sym))
-    tasks.sort(key=lambda t: max(t[0], t[1]))
-
-    threads = max(1, min(threads, len(tasks)))
+    threads = max(1, min(threads, B))
     payloads = [
-        (n, B, conv.primitive, conv.sign_fix, conv.domain, tasks[i::threads])
+        (n, B, conv.primitive, conv.sign_fix, conv.domain, range(i + 1, B + 1, threads))
         for i in range(threads)
     ]
     if threads == 1:
@@ -599,14 +603,3 @@ def count_points_oracle(n: int, B: int, conv: CountingConvention) -> ExactCount:
     """Independent brute-force count: scan signed tuples, test sum x_i y_i z_i = 0
     and every predicate literally, per tuple.  Refuses oversized scans."""
     return oracle_sweep(n, B, [conv])[0]
-
-
-def default_threads() -> int:
-    """Thread count from TRIPROX_THREADS, else 1."""
-    env = os.environ.get("TRIPROX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1

@@ -26,6 +26,7 @@ from .errors import BudgetExceededError
 
 # Largest q_max a KernelConfig admits: kernel_h(q/Q, .) walks a set of about
 # Q/(2q) integers, and the q-sum makes q_max kernel and Ramanujan-sum calls.
+# kernel_h refuses j-windows of more than twice this many terms in all.
 _MAX_Q_MAX = 100_000
 
 
@@ -64,20 +65,23 @@ def kernel_h(x: float, y: float, c0: float | None = None) -> float:
     Evaluated as an exact finite sum: window has support in (1/2, 1), so only
     j with xj in (1/2, 1) or |y|/(xj) in (1/2, 1) -- two explicit integer
     windows -- can contribute.  In particular h(x, y) = 0 whenever
-    x > max(1, 2|y|).
+    x > max(1, 2|y|).  Windows of more than 2 * _MAX_Q_MAX terms in all are
+    refused; every call of ``delta_series`` with |l| <= Q^2/2 needs at most
+    Q + 6.
     """
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
     if c0 is None:
         c0 = _c0()
     ay = abs(y)
-    lo1 = max(1, math.floor(0.5 / x) - 1)
-    hi1 = math.ceil(1.0 / x) + 1
-    js = set(range(lo1, hi1 + 1))
+    windows = [(max(1, math.floor(0.5 / x) - 1), math.ceil(1.0 / x) + 1)]
     if ay > 0:
-        lo2 = max(1, math.floor(ay / x) - 1)
-        hi2 = math.ceil(2.0 * ay / x) + 1
-        js.update(range(lo2, hi2 + 1))
+        windows.append((max(1, math.floor(ay / x) - 1), math.ceil(2.0 * ay / x) + 1))
+    if sum(hi - lo + 1 for lo, hi in windows) > 2 * _MAX_Q_MAX:
+        raise BudgetExceededError(f"h({x}, {y}) would sum more than {2 * _MAX_Q_MAX} terms")
+    js = set()
+    for lo, hi in windows:
+        js.update(range(lo, hi + 1))
     total = 0.0
     for j in sorted(js):
         xj = x * j

@@ -78,15 +78,14 @@ class TestCount:
         monkeypatch.setattr(counting, "_grid", no_grid)
         assert main(["count", "--n", "3", "--bound", "2000"]) == EXIT_BUDGET
 
-    def test_threads_env_override(self, monkeypatch):
-        from triprox.counting import default_threads
-
-        monkeypatch.setenv("TRIPROX_THREADS", "3")
-        assert default_threads() == 3
-        monkeypatch.setenv("TRIPROX_THREADS", "junk")
-        assert default_threads() == 1
-        monkeypatch.delenv("TRIPROX_THREADS")
-        assert default_threads() == 1
+    @pytest.mark.parametrize("argv", [
+        ["count", "--n", "1", "--bound", "33554432"],
+        ["count", "--n", "2", "--bound", "100000000", "--convention", "E3"],
+    ])
+    def test_bound_budget_exit(self, argv):
+        start = time.perf_counter()
+        assert main(argv) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCensusAndDelta:
@@ -107,6 +106,11 @@ class TestCensusAndDelta:
         monkeypatch.setattr(delta_method, "kernel_h", no_kernel)
         start = time.perf_counter()
         assert main(["delta", "--Q", "1e9"]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1.0
+
+    def test_delta_kernel_term_budget_exit(self):
+        start = time.perf_counter()
+        assert main(["delta", "--Q", "2", "--l-range", "1000000000:1000000000"]) == EXIT_BUDGET
         assert time.perf_counter() - start < 1.0
 
     def test_delta_identity_smoke(self, capsys, tmp_path):

@@ -29,6 +29,15 @@ from triprox.counting import (
 
 ALL = NAMED_CONVENTIONS["all"]
 
+# Every convention: 8 sign-fix sets x 4 domains x primitive on/off.
+EVERY_CONVENTION = [
+    CountingConvention(primitive, frozenset(sf), domain)
+    for primitive in (False, True)
+    for r in range(4)
+    for sf in itertools.combinations("xyz", r)
+    for domain in Domain
+]
+
 
 def naive_count_z(c, Z):
     rng = [v for v in range(-Z, Z + 1) if v != 0]
@@ -200,6 +209,19 @@ class TestCountPoints:
         single = count_points(2, 12, conv, threads=1).count
         assert count_points(2, 12, conv, threads=threads).count == single
 
+    @pytest.mark.parametrize("name", ["E3", "primitive"])
+    def test_one_pair_block_per_unordered_magnitude_pair(self, name, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _count_pair_block(*args)
+
+        monkeypatch.setattr("triprox.counting._count_pair_block", counted)
+        count_points(2, 240, NAMED_CONVENTIONS[name], threads=1)
+        # #{(m, k) : k <= m, m*k <= 240}; every such pair has a nonzero z-cap
+        assert len(calls) == 689
+
     def test_thread_count_invariance(self):
         conv = NAMED_CONVENTIONS["primitive"]
         single = count_points(2, 12, conv, threads=1).count
@@ -223,6 +245,12 @@ class TestOracleEquivalence:
         slow = [e.count for e in oracle_sweep(n, B, convs)]
         for threads in (1, 2):
             assert [count_points(n, B, c, threads=threads).count for c in convs] == slow
+
+    @pytest.mark.parametrize("n, B", [(1, 12), (2, 9), (3, 5)])
+    def test_every_convention(self, n, B):
+        slow = [e.count for e in oracle_sweep(n, B, EVERY_CONVENTION)]
+        for threads in (1, 2):
+            assert [count_points(n, B, c, threads=threads).count for c in EVERY_CONVENTION] == slow
 
     def test_oracle_budget_guard(self):
         with pytest.raises(BudgetExceededError):

@@ -88,6 +88,14 @@ class TestKernelH:
         with pytest.raises(ValueError):
             kernel_h(0.0, 0.5)
 
+    def test_term_budget(self):
+        with pytest.raises(BudgetExceededError):
+            kernel_h(1e-8, 0.0)
+        with pytest.raises(BudgetExceededError):
+            kernel_h(0.5, 2.5e8)
+        # the widest call a KernelConfig admits: Q = q_max = 10^5, q = 1, |l| = Q^2/2
+        assert math.isfinite(kernel_h(1e-5, 0.5))
+
 
 class TestDeltaSeries:
     def test_zero_frequency_near_one(self):
