@@ -39,7 +39,6 @@ from .counting import (
     ExactCount,
     count_points,
     count_points_oracle,
-    count_z_solutions,
     mobius_count,
     oracle_sweep,
 )
@@ -52,6 +51,5 @@ from .local_densities import (
     exp_sum_oracle,
     local_density,
     pair_zero_count,
-    product_pair_count,
     zero_freq_total,
 )

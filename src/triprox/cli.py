@@ -136,19 +136,21 @@ def cmd_predict(args) -> int:
 def cmd_delta(args) -> int:
     config = KernelConfig.build(args.Q, q_max=args.q_max)
     lo, hi = args.l_range
-    rows = []
-    for l in range(lo, hi + 1):
-        rows.append((l, delta_series(l, config=config)))
-    raw0 = delta_series(0, config=config)
+    rows = {l: delta_series(l, config=config) for l in range(lo, hi + 1)}
+    raw0 = rows[0] if 0 in rows else delta_series(0, config=config)
     print(f"delta-series at Q={args.Q} (q_max={config.q_max}), raw(l) = delta_l / c_Q:")
-    for l, value in rows:
+    for l, value in rows.items():
         expect = 1.0 if l == 0 else 0.0
         print(f"  l={l:+d}  raw = {value:+.12e}  (target {expect:.0f})")
-    print(f"  empirical c_Q ~ 1/raw(0) = {1.0 / raw0:.9f}")
+    if raw0 == 0.0:
+        # No q <= q_max puts q*j/Q inside the window's support (e.g. Q=2).
+        print("  empirical c_Q undefined: raw(0) = 0")
+    else:
+        print(f"  empirical c_Q ~ 1/raw(0) = {1.0 / raw0:.9f}")
     record = RunRecord(
         "delta",
         {"Q": args.Q, "q_max": config.q_max, "l_range": [lo, hi]},
-        {"raw": {str(l): value for l, value in rows}},
+        {"raw": {str(l): value for l, value in rows.items()}},
     )
     _append_record(args.out, record)
     return EXIT_OK

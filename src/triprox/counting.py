@@ -13,16 +13,18 @@ Two independent implementations share one contract:
   vector of the smaller side; the z-kernel runs once per orbit-size group
   (per row chunk of an outsized group).  The kernel solves for z_0 (any
   nonzero coefficient will do, so rows are neither sorted nor
-  deduplicated), scans z_1 > 0 only because z -> -z pairs the solutions,
-  and returns a histogram of the solutions by exact max|z|.  A domain acts
-  only through the z-cap of each order (0 when the order is excluded), so
-  the block runs once at the larger cap and each order adds the prefix up
-  to its own cap.  Sign-fixing enters through exact per-magnitude-class
-  counts (negation is an involution), and primitivity of z through a
-  Mobius inversion of that histogram over the content of z.  Blocks are
-  summed into one histogram by exact height H = m*k*max|z| in Python ints:
-  ``count_points`` returns its total, and ``mobius_count`` reads all its
-  inner counts off its prefix sums.
+  deduplicated), scans z_1 >= 1 only, and returns that half of the
+  solutions as a histogram by exact max|z|.  A domain acts only through
+  the z-cap of each order (``_in_domain`` is the one statement of the
+  domain-and-height rule), so the block runs once at the larger cap and
+  each order adds the prefix up to its own cap.  Primitivity of z enters
+  through a Mobius inversion of the histogram over the content of z, and
+  every sign through one weight: x, y and z are positive magnitude
+  vectors and z_1 >= 1, negation flips the sign-fix predicate, so each
+  block stands for 2^(2n+3) signed solutions, halved once per sign-fixed
+  vector.  Blocks are summed into one histogram by exact height
+  H = m*k*max|z| in Python ints: ``count_points`` returns its total, and
+  ``mobius_count`` reads all its inner counts off its prefix sums.
 
 * ``count_points_oracle`` -- a deliberately naive scan that enumerates signed
   coordinate tuples directly, tests the trilinear sum literally, and applies
@@ -35,11 +37,11 @@ deterministic and independent of the number of worker threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -57,9 +59,10 @@ _MAX_BOUND = 2**30
 _CELL_CHUNK = 1 << 18
 _ORACLE_OPS_BUDGET = 400_000_000
 
-# Largest z-grid the kernel builds, Z*(2Z)^(n-1) cells of (n+1) int64 each
-# (the grid and its max|z|).  It admits n=2 up to B=4096 and n=3 up to
-# B=203, and refuses n=3, B=300 (108M cells, 3.5 GB).
+# Largest z-grid the kernel builds, Z*(2Z)^(n-1) cells.  At n=3 a kernel call
+# peaks at about 52 bytes per cell (its n int64 grid columns, their max|z|,
+# and one row's sums and masks): 1,468 MB at Z=192.  It admits n=2 up to
+# B=4096 and n=3 up to B=203, and refuses n=3, B=300 (108M cells, ~5.6 GB).
 _Z_GRID_BUDGET = 1 << 25
 
 # Largest bound the engine takes on.  The z-grid budget alone admits n=1 up
@@ -74,8 +77,7 @@ class Domain(Enum):
     """Height-exponent restriction applied on top of H <= B.
 
     DXY requires max|x|*max|y| <= B^(2/3) and max|x| <= B^(1/3); DYZ and DZX
-    are the cyclic analogues.  Comparisons are exact: u <= B^(2/3) is tested
-    as u^3 <= B^2 and u <= B^(1/3) as u^3 <= B.
+    are the cyclic analogues.  Comparisons are exact (``_in_domain``).
     """
 
     FULL = "FULL"
@@ -116,24 +118,25 @@ NAMED_CONVENTIONS: dict[str, CountingConvention] = {
 }
 
 
+def _in_domain(B: int, a: int, b: int, c, domain: Domain):
+    """The height and domain rule for exact maxima a = max|x|, b = max|y|,
+    c = max|z| (ints, or c an array): a*b*c <= B, and for the domain's pair
+    (u, v) = (a, b), (b, c) or (c, a), u*v <= B^(2/3) and u <= B^(1/3),
+    tested exactly as (u*v)^3 <= B^2 and u^3 <= B.  Monotone in c.
+    """
+    ok = a * b * c <= B
+    if domain is Domain.FULL:
+        return ok
+    u, v = {Domain.DXY: (a, b), Domain.DYZ: (b, c), Domain.DZX: (c, a)}[domain]
+    return ok & ((u * v) ** 3 <= B * B) & (u**3 <= B)
+
+
 @dataclass
 class ExactCount:
     n: int
     B: int
     convention: CountingConvention
     count: int
-
-
-def _icbrt(x: int) -> int:
-    """Largest m >= 0 with m**3 <= x (x >= 0)."""
-    if x < 0:
-        raise ValueError("negative argument")
-    m = round(x ** (1.0 / 3.0))
-    while m > 0 and m * m * m > x:
-        m -= 1
-    while (m + 1) ** 3 <= x:
-        m += 1
-    return m
 
 
 def _validate_bound(B: int) -> None:
@@ -173,16 +176,18 @@ def _grid(ranges: list[np.ndarray]) -> np.ndarray:
 
 
 def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
-    """Histogram of z-solutions by exact height, summed over the rows of C.
+    """Histogram of half the z-solutions by exact height, summed over the
+    rows of C.
 
-    hist[h] = #{(r, z) : 1 <= |z_i| <= Z, max_i |z_i| = h, sum_i C[r,i]*z_i = 0}
-    for h = 0..Z (hist[0] = 0).  C must have positive entries, in any order:
-    the kernel solves for column 0, enumerating the other n coordinates and
-    accepting a cell when C[r,0] divides the partial sum with a quotient in
-    [-Z,-1] u [1,Z].  z -> -z pairs every solution with one of the same
-    max|z| and the opposite sign of z_1, so only z_1 in [1,Z] is scanned and
-    the histogram doubled.  The remainder and the range test are taken once
-    per cell; the quotient and max|z| only on the sparse accepted cells.
+    hist[h] = #{(r, z) : 1 <= z_1 <= Z, 1 <= |z_i| <= Z, max_i |z_i| = h,
+    sum_i C[r,i]*z_i = 0} for h = 0..Z (hist[0] = 0).  z -> -z pairs every
+    solution with one of the same max|z| and the opposite sign of z_1, so
+    the full count is twice this; the caller's sign weight carries the 2.
+    C must have positive entries, in any order: the kernel solves for column
+    0, enumerating the other n coordinates and accepting a cell when C[r,0]
+    divides the partial sum with a quotient in [-Z,-1] u [1,Z].  The
+    remainder and the range test are taken once per cell; the quotient and
+    max|z| only on the sparse accepted cells.
     """
     hist = np.zeros(Z + 1, dtype=np.int64)
     if Z < 1 or len(C) == 0:
@@ -206,27 +211,7 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
         r, g = np.nonzero(hit)
         q = np.abs(s[r, g]) // Cc[r, 0]
         hist += np.bincount(np.maximum(q, gmax[g]), minlength=Z + 1)
-    return 2 * hist
-
-
-def count_z_solutions(c, Z: int) -> int:
-    """#{z : 1 <= |z_i| <= Z for all i, sum_i c_i z_i = 0} for nonzero integer c_i.
-
-    The count depends on the c_i only through |c_i| (flipping z_i absorbs
-    signs), so the kernel runs on the absolute values in the given order.
-    """
-    c = [int(v) for v in c]
-    if len(c) < 2:
-        raise ValueError("need at least 2 coefficients")
-    if any(v == 0 for v in c):
-        raise ValueError("all coefficients must be nonzero")
-    if not isinstance(Z, int) or Z < 1:
-        raise ValueError(f"Z must be a positive integer, got {Z!r}")
-    if max(abs(v) for v in c) * Z * len(c) >= 2**62:
-        raise OverflowGuardError("coefficient/Z magnitudes exceed the int64-safe range")
-    _check_z_grid(len(c) - 1, Z)
-    row = np.array([abs(v) for v in c], dtype=np.int64)
-    return int(_kernel_rows(row.reshape(1, -1), Z).sum())
+    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -235,31 +220,13 @@ def count_z_solutions(c, Z: int) -> int:
 
 
 def _exact_max_vectors(n: int, a: int) -> np.ndarray:
-    """All positive vectors in [1..a]^(n+1) with max coordinate exactly a.
-
-    Built disjointly by the subset of positions pinned to a (the rest range
-    over [1..a-1]), avoiding materializing the full box.
+    """All positive vectors in [1..a]^(n+1) with max coordinate exactly a:
+    the box filtered to its shell.  Only the smaller side of a pair block
+    (a <= isqrt(B)) is built this way, so the box has at most B^((n+1)/2)
+    rows.
     """
-    k = n + 1
-    if a == 1:
-        return np.ones((1, k), dtype=np.int64)
-    blocks = []
-    small = np.arange(1, a, dtype=np.int64)
-    for mask in range(1, 1 << k):
-        free = [i for i in range(k) if not (mask >> i) & 1]
-        nf = len(free)
-        if nf == 0:
-            blocks.append(np.full((1, k), a, dtype=np.int64))
-            continue
-        if nf == 1:
-            rest = small.reshape(-1, 1)
-        else:
-            grids = np.meshgrid(*([small] * nf), indexing="ij")
-            rest = np.stack([g.ravel() for g in grids], axis=1)
-        block = np.full((len(rest), k), a, dtype=np.int64)
-        block[:, free] = rest
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
+    box = _grid([np.arange(1, a + 1, dtype=np.int64)] * (n + 1))
+    return box[box.max(axis=1) == a]
 
 
 def _primitive_mask(V: np.ndarray) -> np.ndarray:
@@ -296,38 +263,21 @@ def _orbit_groups(n: int, m: int, primitive: bool) -> list[tuple[int, np.ndarray
     return [(int(w), reps[orbit == w]) for w in np.unique(orbit)]
 
 
-def _sign_class_weight(n: int, fixed: bool) -> int:
-    """Number of sign patterns of a magnitude class passing the sign-fix filter.
-
-    Each of the 2^(n+1) signings flips the sign-fixed predicate when the
-    coordinate of first-maximal magnitude flips, so exactly half pass.
-    """
-    return 2**n if fixed else 2 ** (n + 1)
-
-
 def _z_cap(B: int, a: int, b: int, domain: Domain) -> int:
-    """Largest admissible max|z| for exact maxima (a, b), or 0 when none."""
-    Z = B // (a * b)
-    if domain is Domain.DXY and ((a * b) ** 3 > B * B or a**3 > B):
-        return 0
-    if domain is Domain.DYZ:
-        if b**3 > B:
-            return 0
-        Z = min(Z, _icbrt(B * B // (b * b * b)))
-    elif domain is Domain.DZX:
-        Z = min(Z, _icbrt(B * B // (a * a * a)), _icbrt(B))
-    return Z
+    """Largest admissible max|z| for exact maxima (a, b), or 0 when none.
+    ``_in_domain`` is monotone in c, so its admitted c form a prefix."""
+    return bisect_left(range(1, B // (a * b) + 1), True, key=lambda c: not _in_domain(B, a, b, c, domain))
 
 
 def _count_pair_block(
     groups: list[tuple[int, np.ndarray]],
     Q: np.ndarray,
     Z: int,
-    half_z: bool,
     mu: np.ndarray | None,
 ) -> np.ndarray:
     """Inner-z counts over all positive magnitude pairs of a pair block, as
-    a histogram by exact max|z| (length Z+1).
+    a histogram by exact max|z| (length Z+1) of the z with z_1 >= 1, the
+    half that ``_kernel_rows`` scans.
 
     The block with maxima (a, b) has the coefficient rows p*q (entrywise)
     for p, q of exact max a, b.  Write m = max(a, b) and k = min(a, b):
@@ -342,8 +292,8 @@ def _count_pair_block(
 
     With the Mobius table ``mu`` (primitive conventions), the histogram
     counts primitive z only: every z of max h is d*z' for its content d and
-    a primitive z' of max h/d, so the primitive histogram is the Mobius
-    inversion over d of the full one.
+    a primitive z' of max h/d with the same sign of z_1, so the primitive
+    histogram is the Mobius inversion over d of the half one.
     """
     n1 = Q.shape[1]
     hist = np.zeros(Z + 1, dtype=np.int64)
@@ -354,10 +304,6 @@ def _count_pair_block(
             C = (R[lo : lo + r_chunk, None, :] * Q[None, :, :]).reshape(-1, n1)
             part += _kernel_rows(C, Z)
         hist += weight * part
-    if half_z:
-        if np.any(hist & 1):
-            raise AssertionError("z-solution counts must pair up under z -> -z")
-        hist >>= 1
     if mu is not None:
         prim = np.zeros_like(hist)
         for d in np.flatnonzero(mu[1 : Z + 1]) + 1:
@@ -373,17 +319,23 @@ def _run_tasks(args: tuple) -> np.ndarray:
 
     Each m builds its orbit representatives once and runs one pair block per
     smaller magnitude k <= min(m, B // m), shared by the orders (m, k) and
-    (k, m): their rows are the same because p*q = q*p, their heights are
-    m*k*h and their sign weight is the same product.  The block runs at the
-    larger z-cap of the two orders, and each order adds the prefix up to its
-    own cap: the histogram is by exact max|z|, and the Mobius step and the
-    z-halving commute with truncation.  k*k <= m*k <= B, so the smaller
-    side's tables, kept for the whole stripe, number at most isqrt(B).
+    (k, m): their rows are the same because p*q = q*p, and their heights
+    are m*k*h.  The block runs at the larger z-cap of the two orders, and
+    each order adds the prefix up to its own cap: the histogram is by exact
+    max|z|, and the Mobius step commutes with truncation.  k*k <= m*k <= B,
+    so the smaller side's tables, kept for the whole stripe, number at most
+    isqrt(B).
+
+    Every block is weighted by 2^(2n+3-len(sf)): a block counts positive x
+    and y and the z with z_1 >= 1, negation flips each vector's sign-fix
+    predicate (``_first_max_positive``), and it preserves content and
+    max|z|, so a fixed x or y keeps 2^n of its 2^(n+1) signings, and a z
+    with z_1 >= 1 keeps 1 of its pair z, -z when fixed and stands for both
+    when not.
     """
     n, B, primitive, sf, domain, stripe = args
     mu = mobius_sieve(B) if primitive else None
-    half_z = "z" in sf
-    weight = _sign_class_weight(n, "x" in sf) * _sign_class_weight(n, "y" in sf)
+    weight = 2 ** (2 * n + 3 - len(sf))
     by_height = np.zeros(B + 1, dtype=object)
     small = {}
     for m in stripe:
@@ -399,7 +351,7 @@ def _run_tasks(args: tuple) -> np.ndarray:
             if k not in small:
                 Q = _exact_max_vectors(n, k)
                 small[k] = Q[_primitive_mask(Q)] if primitive else Q
-            block = _count_pair_block(groups, small[k], max(caps), half_z, mu)[1:].astype(object)
+            block = _count_pair_block(groups, small[k], max(caps), mu)[1:].astype(object)
             mk = m * k
             for Z in caps:
                 by_height[mk : mk * Z + 1 : mk] += weight * block[:Z]
@@ -490,11 +442,10 @@ def mobius_count(n: int, B: int, sign_fix=frozenset(), threads: int = 1) -> int:
 
 
 def _signed_exact_max(n: int, a: int) -> np.ndarray:
-    """All signed vectors with nonzero coordinates and max|v_i| exactly a."""
-    mags = _exact_max_vectors(n, a)
-    k = n + 1
-    signs = np.array(list(iter_product((1, -1), repeat=k)), dtype=np.int64)
-    return (mags[:, None, :] * signs[None, :, :]).reshape(-1, k)
+    """All signed vectors with nonzero coordinates and max|v_i| exactly a:
+    the signed box filtered to its shell."""
+    box = _grid([_signed_range(a)] * (n + 1))
+    return box[np.abs(box).max(axis=1) == a]
 
 
 def _oracle_budget(n: int, B: int) -> int:
@@ -526,7 +477,6 @@ def oracle_sweep(n: int, B: int, convs: list[CountingConvention]) -> list[ExactC
     if _oracle_budget(n, B) > _ORACLE_OPS_BUDGET:
         raise BudgetExceededError(f"oracle scan for (n={n}, B={B}) exceeds the test budget")
 
-    B2 = B * B
     totals = [0] * len(convs)
 
     z_by_cap = {}
@@ -553,24 +503,15 @@ def oracle_sweep(n: int, B: int, convs: list[CountingConvention]) -> list[ExactC
             prim_y = _primitive_mask(Y)
             Z = B // (a * b)
             grid, mz, sf_z, prim_z = z_pack(Z)
-            height_ok = a * b * mz <= B
 
             # Per-convention masks depend only on (a, b); hoisted out of the
-            # x loop.  None marks a convention excluded for this (a, b).
+            # x loop.  None marks a convention that admits no z for (a, b).
             per_conv = []
             for conv in convs:
-                dom = conv.domain
-                zmask = height_ok.copy()
-                if dom is Domain.DXY and ((a * b) ** 3 > B2 or a**3 > B):
+                zmask = _in_domain(B, a, b, mz, conv.domain)
+                if not zmask.any():
                     per_conv.append(None)
                     continue
-                if dom is Domain.DYZ:
-                    if b**3 > B:
-                        per_conv.append(None)
-                        continue
-                    zmask &= (b * mz) ** 3 <= B2
-                elif dom is Domain.DZX:
-                    zmask &= ((mz * a) ** 3 <= B2) & (mz**3 <= B)
                 if conv.primitive:
                     zmask &= prim_z
                 if "z" in conv.sign_fix:

@@ -119,37 +119,6 @@ def zero_freq_total(q: int, n: int) -> int:
     return euler_phi(q) * q ** (n + 1) * pair_zero_count(q) ** (n + 1)
 
 
-def product_pair_count(q: int, u: int) -> int:
-    """A(q, u) = #{(a, b) in (Z/q)^2 : a*b = u mod q}.
-
-    Multiplicative via CRT; at p^e with f = min(v_p(u), e), the count is
-    sum_{j=0..f} phi(p^(e-j)) * p^j, plus the a = 0 row when u = 0 mod p^e
-    (that case is exactly pair_zero_count).
-    """
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    u %= q
-    result = 1
-    for p, e in factorize(q).factors:
-        pe = p**e
-        um = u % pe
-        if um == 0:
-            result *= pe + e * (pe - pe // p)
-            continue
-        f = 0
-        while um % p == 0:
-            um //= p
-            f += 1
-        block = 0
-        pj = 1
-        for j in range(f + 1):
-            pej = p ** (e - j)
-            block += (pej - pej // p) * pj
-            pj *= p
-        result *= block
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Local densities and their Euler product
 # ---------------------------------------------------------------------------

@@ -113,6 +113,15 @@ class TestCensusAndDelta:
         assert main(["delta", "--Q", "2", "--l-range", "1000000000:1000000000"]) == EXIT_BUDGET
         assert time.perf_counter() - start < 1.0
 
+    def test_delta_zero_raw0_writes_record(self, capsys, tmp_path):
+        # At Q=2 no q <= q_max reaches the window's support, so raw(0) = 0.
+        store = tmp_path / "runs.jsonl"
+        assert main(["delta", "--Q", "2", "--l-range", "0:1", "--out", str(store)]) == EXIT_OK
+        assert "c_Q undefined" in capsys.readouterr().out
+        rec = read_jsonl(store)[0]
+        assert rec["raw"] == {"0": 0.0, "1": 0.0}
+        assert rec["Q"] == 2 and rec["l_range"] == [0, 1]
+
     def test_delta_identity_smoke(self, capsys, tmp_path):
         store = tmp_path / "runs.jsonl"
         assert main(["delta", "--Q", "8", "--l-range", "0:2", "--out", str(store)]) == EXIT_OK

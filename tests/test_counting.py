@@ -12,19 +12,21 @@ from triprox import (
     NAMED_CONVENTIONS,
     count_points,
     count_points_oracle,
-    count_z_solutions,
     mobius_count,
     oracle_sweep,
 )
 from triprox.arith import mobius, mobius_sieve
 from triprox.counting import (
+    _check_z_grid,
     _count_pair_block,
     _exact_max_vectors,
     _first_max_positive,
     _height_hist,
+    _in_domain,
     _kernel_rows,
     _orbit_groups,
     _primitive_mask,
+    _z_cap,
 )
 
 ALL = NAMED_CONVENTIONS["all"]
@@ -39,38 +41,23 @@ EVERY_CONVENTION = [
 ]
 
 
-def naive_count_z(c, Z):
-    rng = [v for v in range(-Z, Z + 1) if v != 0]
-    return sum(
-        1 for z in itertools.product(rng, repeat=len(c)) if sum(a * b for a, b in zip(c, z)) == 0
-    )
+def rows(*vectors):
+    return np.array(vectors, dtype=np.int64)
 
 
 class TestCountZ:
+    """Total z-solution counts of one coefficient row: twice the kernel's half."""
+
     def test_parity_kills_units(self):
-        assert count_z_solutions((1, 1, 1), 1) == 0
+        assert 2 * _kernel_rows(rows((1, 1, 1)), 1).sum() == 0
 
     def test_small_example(self):
-        assert count_z_solutions((1, 1, -2), 1) == 2
-
-    def test_matches_naive_scan(self):
-        for c in [(1, 2, 3), (2, -3, 5), (1, 1, 4), (3, 3, 3), (1, -6, 2)]:
-            for Z in (1, 2, 3):
-                assert count_z_solutions(c, Z) == naive_count_z(c, Z)
-
-    def test_rejects_zero_coefficient(self):
-        with pytest.raises(ValueError):
-            count_z_solutions((1, 0, 2), 3)
-        with pytest.raises(ValueError):
-            count_z_solutions((1, 2, 3), 0)
+        # z = (1, 1, -1) and its negative
+        assert 2 * _kernel_rows(rows((1, 1, 2)), 1).sum() == 2
 
     def test_z_grid_budget(self):
         with pytest.raises(BudgetExceededError):
-            count_z_solutions((1, 2, 3, 4), 300)
-
-
-def rows(*vectors):
-    return np.array(vectors, dtype=np.int64)
+            _check_z_grid(3, 300)
 
 
 class TestPredicates:
@@ -96,6 +83,61 @@ class TestPredicates:
             assert _primitive_mask(V).tolist() == expected
 
 
+class TestDomainPredicate:
+    """``_in_domain`` against the real-number definition in the ``Domain``
+    docstring, and ``_z_cap`` against the predicate."""
+
+    BOUNDS = (1, 7, 8, 27, 64, 125, 1000)
+
+    @staticmethod
+    def points(B):
+        for a in range(1, B + 1):
+            for b in range(1, B // a + 1):
+                for c in range(1, B // (a * b) + 1):
+                    yield a, b, c
+
+    @staticmethod
+    def pair(domain, a, b, c):
+        return {Domain.DXY: (a, b), Domain.DYZ: (b, c), Domain.DZX: (c, a)}[domain]
+
+    @pytest.mark.parametrize("B", BOUNDS)
+    def test_z_cap_is_last_admitted_c(self, B):
+        for domain in Domain:
+            for a in range(1, B + 1):
+                for b in range(1, B // a + 1):
+                    expected = max(
+                        (c for c in range(1, B // (a * b) + 1) if _in_domain(B, a, b, c, domain)),
+                        default=0,
+                    )
+                    assert _z_cap(B, a, b, domain) == expected
+
+    @pytest.mark.parametrize("B", BOUNDS)
+    def test_matches_real_definition_off_the_boundary(self, B):
+        r1, r2 = B ** (1 / 3), B ** (2 / 3)
+        for a, b, c in self.points(B):
+            assert _in_domain(B, a, b, c, Domain.FULL)
+            for domain in (Domain.DXY, Domain.DYZ, Domain.DZX):
+                u, v = self.pair(domain, a, b, c)
+                if min(abs(u * v - r2), abs(u - r1)) > 1e-9:
+                    assert _in_domain(B, a, b, c, domain) == (u * v <= r2 and u <= r1)
+
+    @pytest.mark.parametrize("B", [1, 8, 27, 64, 125, 1000])
+    def test_exact_boundary_points_admitted(self, B):
+        # Only exact points lie within 1e-9 of a cube-root boundary; the
+        # real-number definition admits them when the other bound holds.
+        r1, r2 = B ** (1 / 3), B ** (2 / 3)
+        admitted = 0
+        for a, b, c in self.points(B):
+            for domain in (Domain.DXY, Domain.DYZ, Domain.DZX):
+                u, v = self.pair(domain, a, b, c)
+                if min(abs(u * v - r2), abs(u - r1)) <= 1e-9:
+                    assert u**3 == B or (u * v) ** 3 == B * B
+                    real = u * v <= r2 + 1e-9 and u <= r1 + 1e-9
+                    assert _in_domain(B, a, b, c, domain) == real
+                    admitted += real
+        assert admitted > 0
+
+
 class TestKernelHistogram:
     @staticmethod
     def naive_hist(C, Z):
@@ -114,11 +156,9 @@ class TestKernelHistogram:
         # rows whose largest coefficient is not in the solved column 0
         C[:4, 0] = 1
         C[:4, 1] = 8
-        hist = _kernel_rows(C, Z)
+        hist = 2 * _kernel_rows(C, Z)
         assert hist.tolist() == self.naive_hist(C.tolist(), Z)
         assert hist.sum() > 0
-        # z -> -z preserves max|z|: every bucket pairs up
-        assert not np.any(hist & 1)
 
 
 def _gcd_one(V):
@@ -154,7 +194,7 @@ class TestOrbitReduction:
         if primitive:
             Q = _gcd_one(Q)
         mu = mobius_sieve(Z) if primitive else None
-        block = _count_pair_block(groups, Q, Z, False, mu)
+        block = _count_pair_block(groups, Q, Z, mu)
         assert block.tolist() == self.literal_block(n, a, b, Z, primitive)
         assert block.sum() > 0
 

@@ -8,7 +8,6 @@ from triprox import (
     exp_sum_oracle,
     local_density,
     pair_zero_count,
-    product_pair_count,
     zero_freq_total,
 )
 from triprox import divisor_count, euler_phi
@@ -54,32 +53,6 @@ class TestPairZeroCount:
     def test_closed_form_against_scan(self):
         for q in range(1, 65):
             assert pair_zero_count(q) == pair_zero_scan(q)
-
-
-class TestProductPairCount:
-    def test_zero_class_is_pair_zero_count(self):
-        for q in (2, 3, 4, 9, 12, 16):
-            assert product_pair_count(q, 0) == pair_zero_count(q)
-
-    def test_small_example(self):
-        assert product_pair_count(3, 2) == 2
-
-    def test_prime_unit_class(self):
-        for p in (3, 5, 7, 11):
-            for u in range(1, p):
-                assert product_pair_count(p, u) == p - 1
-
-    def test_against_scan(self):
-        for q in range(1, 40):
-            for u in range(q):
-                direct = sum(1 for a in range(q) for b in range(q) if (a * b - u) % q == 0)
-                assert product_pair_count(q, u) == direct
-
-    def test_divisor_surrogate_bound(self):
-        for q in range(1, 201):
-            cap = q * divisor_count(q)
-            for u in range(q):
-                assert product_pair_count(q, u) <= cap
 
 
 class TestZeroFreqTotal:
