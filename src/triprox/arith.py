@@ -24,7 +24,7 @@ def prime_table() -> tuple[int, ...]:
     for p in range(2, int(_SIEVE_LIMIT**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return tuple(int(p) for p in np.flatnonzero(sieve))
+    return tuple(np.flatnonzero(sieve).tolist())
 
 
 def is_prime(q: int) -> bool:

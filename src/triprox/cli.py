@@ -134,8 +134,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    config = KernelConfig.build(args.Q, q_max=args.q_max)
     lo, hi = args.l_range
+    l_max = max(abs(lo), abs(hi)) if lo <= hi else 0  # an empty range evaluates l = 0 only
+    config = KernelConfig.build(args.Q, q_max=args.q_max, l_max=l_max)
     rows = {l: delta_series(l, config=config) for l in range(lo, hi + 1)}
     raw0 = rows[0] if 0 in rows else delta_series(0, config=config)
     print(f"delta-series at Q={args.Q} (q_max={config.q_max}), raw(l) = delta_l / c_Q:")

@@ -260,7 +260,9 @@ def _orbit_groups(n: int, m: int, primitive: bool) -> list[tuple[int, np.ndarray
         run = np.where(reps[:, j] == reps[:, j - 1], run + 1, 1)
         stab *= run
     orbit = math.factorial(n + 1) // stab
-    return [(int(w), reps[orbit == w]) for w in np.unique(orbit)]
+    # Not np.unique: it imports numpy.ma on first use, which every freshly
+    # forked count worker would pay again.
+    return [(w, reps[orbit == w]) for w in sorted(set(orbit.tolist()))]
 
 
 def _z_cap(B: int, a: int, b: int, domain: Domain) -> int:

@@ -11,6 +11,9 @@ vanishes for x > max(1, 2|y|), so only q up to max(Q, 2|l|/Q) contribute.
 ``delta_series`` returns the raw sum (delta_l / c_Q), which should be close
 to 1 at l = 0 and vanishes identically for l != 0; c_Q itself has no closed
 form and is only ever estimated empirically as 1/raw(0).
+
+scipy is imported inside ``bump_integral``, on first use, so that importing
+the package (and every command but ``delta``) does not pay its start-up.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.integrate import quad
 
 from .arith import ramanujan_sum
 from .errors import BudgetExceededError
@@ -41,6 +42,8 @@ def bump_integral(tol: float = 1e-12) -> float:
     """Integral of the bump over the real line, by adaptive quadrature on [-1, 1]."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    from scipy.integrate import quad  # deferred: scipy is most of the package's import time
+
     value, err = quad(bump, -1.0, 1.0, epsabs=tol, limit=200)
     if not math.isfinite(value) or err > max(tol * 100.0, 1e-9):
         raise ArithmeticError(f"quadrature did not converge: value={value}, err={err}")
@@ -59,26 +62,37 @@ def window(x: float, c0: float | None = None) -> float:
     return 4.0 / c0 * bump(4.0 * x - 3.0)
 
 
-def kernel_h(x: float, y: float, c0: float | None = None) -> float:
-    """h(x, y) = sum_{j>0} (1/(xj)) * (window(xj) - window(|y|/(xj))), for x > 0.
-
-    Evaluated as an exact finite sum: window has support in (1/2, 1), so only
-    j with xj in (1/2, 1) or |y|/(xj) in (1/2, 1) -- two explicit integer
-    windows -- can contribute.  In particular h(x, y) = 0 whenever
-    x > max(1, 2|y|).  Windows of more than 2 * _MAX_Q_MAX terms in all are
-    refused; every call of ``delta_series`` with |l| <= Q^2/2 needs at most
-    Q + 6.
+def _j_windows(x: float, y: float) -> list[tuple[int, int]]:
+    """The integer j-windows (lo, hi) that ``kernel_h(x, y)`` sums over:
+    the j with xj in (1/2, 1) and, for y != 0, those with |y|/(xj) in
+    (1/2, 1), each padded by one.  Windows of more than 2 * _MAX_Q_MAX
+    terms in all are refused.
     """
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
-    if c0 is None:
-        c0 = _c0()
     ay = abs(y)
     windows = [(max(1, math.floor(0.5 / x) - 1), math.ceil(1.0 / x) + 1)]
     if ay > 0:
         windows.append((max(1, math.floor(ay / x) - 1), math.ceil(2.0 * ay / x) + 1))
     if sum(hi - lo + 1 for lo, hi in windows) > 2 * _MAX_Q_MAX:
         raise BudgetExceededError(f"h({x}, {y}) would sum more than {2 * _MAX_Q_MAX} terms")
+    return windows
+
+
+def kernel_h(x: float, y: float, c0: float | None = None) -> float:
+    """h(x, y) = sum_{j>0} (1/(xj)) * (window(xj) - window(|y|/(xj))), for x > 0.
+
+    Evaluated as an exact finite sum: window has support in (1/2, 1), so only
+    j with xj in (1/2, 1) or |y|/(xj) in (1/2, 1) -- two explicit integer
+    windows (``_j_windows``) -- can contribute.  In particular h(x, y) = 0
+    whenever x > max(1, 2|y|).  Windows of more than 2 * _MAX_Q_MAX terms in
+    all are refused, before c0 is needed; every call of ``delta_series``
+    with |l| <= Q^2/2 needs at most Q + 6.
+    """
+    if x <= 0:
+        raise ValueError(f"x must be positive, got {x}")
+    windows = _j_windows(x, y)
+    if c0 is None:
+        c0 = _c0()
+    ay = abs(y)
     js = set()
     for lo, hi in windows:
         js.update(range(lo, hi + 1))
@@ -99,7 +113,15 @@ class KernelConfig:
     q_max: int
 
     @classmethod
-    def build(cls, Q: float, tol: float = 1e-12, q_max: int | None = None) -> "KernelConfig":
+    def build(cls, Q: float, tol: float = 1e-12, q_max: int | None = None,
+              l_max: int = 0) -> "KernelConfig":
+        """Validate Q and q_max, then compute c0.
+
+        Before the quadrature, refuse a range |l| <= l_max whose widest kernel
+        call is over the term budget: ``delta_series`` calls ``kernel_h`` at
+        q = 1 for every l (c_1(l) = 1), and q = 1, |l| = l_max has the widest
+        j-windows up to rounding.  ``kernel_h`` still checks every call.
+        """
         if Q < 2:
             raise ValueError(f"Q must be >= 2, got {Q}")
         if q_max is None:
@@ -108,10 +130,12 @@ class KernelConfig:
             raise ValueError(f"q_max={q_max} must be >= Q={Q}")
         if q_max > _MAX_Q_MAX:
             raise BudgetExceededError(f"q_max={q_max} exceeds the delta-series budget of {_MAX_Q_MAX}")
+        Qf = float(Q)
+        _j_windows(1 / Qf, l_max / Qf**2)  # the (x, y) of delta_series at q = 1
         c0 = _c0(tol)
         if c0 <= 0:
             raise ArithmeticError("bump integral must be positive")
-        return cls(c0=c0, quadrature_abs_tol=tol, Q=float(Q), q_max=q_max)
+        return cls(c0=c0, quadrature_abs_tol=tol, Q=Qf, q_max=q_max)
 
 
 def delta_series(l: int, Q: float | None = None, q_max: int | None = None,
