@@ -16,13 +16,23 @@ the off-diagonal case) of indicator regions over max-norm boxes:
 All estimators are pure functions of (target, n, indices, samples, seed):
 sampling is partitioned into fixed blocks, each driven by a counter-based
 Philox stream keyed by (seed, target-tag, block index), and block sums are
-reduced with math.fsum in block order.  Results are bit-identical across runs
-and independent of any threading.
+reduced with math.fsum in block order.  Results are bit-identical across runs.
+
+Each block is filled and evaluated as fixed slices of _SLICE rows on a small
+thread pool (numpy releases the GIL in the fill and in the ufuncs).  A slice
+rebuilds its block's stream and advances it past the rows before it: Philox4x64
+yields 4 doubles per counter step and the slice offset times the row width is
+a multiple of 4, so the skip is a whole number of counter steps and the slice
+draws exactly the doubles the whole block would.  2U - 1 equals uniform(-1, 1)
+bit for bit (2U is exact and IEEE addition commutes), the integrands act row
+by row, and each block's sums are taken over the whole block in row order, so
+the result does not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +41,7 @@ import numpy as np
 from .lattice import check_dim
 
 _BLOCK = 1 << 16
+_SLICE = _BLOCK // 4
 _MASK64 = (1 << 64) - 1
 # Stream tags pack the indices i0, j0 and k0 (all <= n) in base 64, so they
 # are injective only for n < _TAG_BASE.
@@ -125,21 +136,43 @@ def _block_rng(seed: int, tag: int, block: int) -> np.random.Generator:
 def _mc_blocks(samples: int, dims: int, seed: int, tag: int, f_of_block):
     """Mean and stderr of f over `samples` points of the uniform box [-1,1]^dims.
 
-    f_of_block maps an (m, dims) array to an (m,) array of nonnegative values.
+    f_of_block maps an (m, dims) array to an (m,) array of nonnegative values,
+    row by row.
     """
+    # Imported here so that importing the CLI loads no thread machinery, and
+    # the pool is joined before the call returns (compare forks count workers).
+    from concurrent.futures import ThreadPoolExecutor
+
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+
+    def fill(f, block, lo):
+        rng = _block_rng(seed, tag, block)
+        rng.bit_generator.advance(lo * dims // 4)
+        pts = rng.random((min(_SLICE, len(f) - lo), dims))
+        pts *= 2.0
+        pts -= 1.0
+        f[lo : lo + len(pts)] = f_of_block(pts)
+
     sums, sqsums = [], []
-    done = 0
-    block = 0
-    while done < samples:
-        m = min(_BLOCK, samples - done)
-        pts = _block_rng(seed, tag, block).uniform(-1.0, 1.0, (m, dims))
-        f = f_of_block(pts)
+
+    def sum_block(f, jobs):
+        for job in jobs:
+            job.result()
         sums.append(float(f.sum()))
         sqsums.append(float((f * f).sum()))
-        done += m
-        block += 1
+
+    # Each block is summed after the next one's slices are queued, so the
+    # workers do not wait while the main thread sums.
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        pending = None
+        for block, start in enumerate(range(0, samples, _BLOCK)):
+            f = np.empty(min(_BLOCK, samples - start))
+            jobs = [pool.submit(fill, f, block, lo) for lo in range(0, len(f), _SLICE)]
+            if pending:
+                sum_block(*pending)
+            pending = f, jobs
+        sum_block(*pending)
     total = math.fsum(sums)
     total_sq = math.fsum(sqsums)
     mean = total / samples

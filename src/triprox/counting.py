@@ -54,15 +54,18 @@ from .lattice import check_dim
 _MAX_BOUND = 2**30
 
 # Largest number of int64 cells in one array of the vectorized kernel (rows x
-# z-grid points) or of a pair block's coefficient rows (rows x (n+1)): 2 MiB
-# per array, so a pair block's working set is a few of them plus its z-grid.
+# z-grid points, or the points of one z-grid piece) or of a pair block's
+# coefficient rows (rows x (n+1)): 2 MiB per array, so a pair block's working
+# set is a few of them.
 _CELL_CHUNK = 1 << 18
 _ORACLE_OPS_BUDGET = 400_000_000
 
-# Largest z-grid the kernel builds, Z*(2Z)^(n-1) cells.  At n=3 a kernel call
-# peaks at about 52 bytes per cell (its n int64 grid columns, their max|z|,
-# and one row's sums and masks): 1,468 MB at Z=192.  It admits n=2 up to
-# B=4096 and n=3 up to B=203, and refuses n=3, B=300 (108M cells, ~5.6 GB).
+# Largest z-grid the kernel scans per coefficient row, Z*(2Z)^(n-1) cells.
+# The grid is built in pieces of at most _CELL_CHUNK cells (one z_1 value
+# each when (2Z)^(n-1) alone is larger, as at n=4 for Z > 32), so this bounds
+# the scan per row, not memory: a process scanning one row at n=3, Z=192
+# peaks at 46 MB.  It admits n=2 up to B=4096 and n=3 up to B=203, and
+# refuses n=3, B=300 (108M cells per row).
 _Z_GRID_BUDGET = 1 << 25
 
 # Largest bound the engine takes on.  The z-grid budget alone admits n=1 up
@@ -152,11 +155,19 @@ def _validate_bound(B: int) -> None:
 
 
 def _check_z_grid(n: int, Z: int) -> None:
-    """Refuse a kernel z-grid (Z*(2Z)^(n-1) cells) beyond the memory budget."""
-    cells = Z * (2 * Z) ** (n - 1)
+    """Refuse a kernel z-grid (Z*(2Z)^(n-1) cells) beyond the kernel budget.
+
+    The product is built one factor at a time and left as soon as it passes
+    the budget, so a huge n costs a few multiplications, not a huge integer.
+    """
+    cells = Z
+    for _ in range(n - 1):
+        if not 0 < cells <= _Z_GRID_BUDGET:
+            break
+        cells *= 2 * Z
     if cells > _Z_GRID_BUDGET:
         raise BudgetExceededError(
-            f"z-grid of {cells} cells (n={n}, Z={Z}) exceeds the {_Z_GRID_BUDGET}-cell kernel budget"
+            f"z-grid Z*(2Z)^(n-1) (n={n}, Z={Z}) exceeds the {_Z_GRID_BUDGET}-cell kernel budget"
         )
 
 
@@ -188,29 +199,36 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
     divides the partial sum with a quotient in [-Z,-1] u [1,Z].  The
     remainder and the range test are taken once per cell; the quotient and
     max|z| only on the sparse accepted cells.
+
+    The grid is built in pieces of consecutive z_1 values, each of at most
+    _CELL_CHUNK cells (one z_1 value when (2Z)^(n-1) alone is larger), so
+    memory does not grow with Z*(2Z)^(n-1).
     """
     hist = np.zeros(Z + 1, dtype=np.int64)
     if Z < 1 or len(C) == 0:
         return hist
     n = C.shape[1] - 1
-    grid = _grid([np.arange(1, Z + 1, dtype=np.int64)] + [_signed_range(Z)] * (n - 1))
-    gmax = grid[:, 0].copy()
-    for j in range(1, n):
-        np.maximum(gmax, np.abs(grid[:, j]), out=gmax)
-    row_chunk = max(1, _CELL_CHUNK // len(grid))
-    for lo in range(0, len(C), row_chunk):
-        Cc = C[lo : lo + row_chunk]
-        s = np.multiply.outer(Cc[:, 1], grid[:, 0])
-        for j in range(2, n + 1):
-            s += np.multiply.outer(Cc[:, j], grid[:, j - 1])
-        c0 = Cc[:, :1]
-        hit = s % c0 == 0
-        hit &= s != 0
-        hit &= s <= Z * c0
-        hit &= s >= -Z * c0
-        r, g = np.nonzero(hit)
-        q = np.abs(s[r, g]) // Cc[r, 0]
-        hist += np.bincount(np.maximum(q, gmax[g]), minlength=Z + 1)
+    rest = [_signed_range(Z)] * (n - 1)
+    z1_chunk = max(1, _CELL_CHUNK // (2 * Z) ** (n - 1))
+    for z1 in range(1, Z + 1, z1_chunk):
+        grid = _grid([np.arange(z1, min(z1 + z1_chunk, Z + 1), dtype=np.int64)] + rest)
+        gmax = grid[:, 0].copy()
+        for j in range(1, n):
+            np.maximum(gmax, np.abs(grid[:, j]), out=gmax)
+        row_chunk = max(1, _CELL_CHUNK // len(grid))
+        for lo in range(0, len(C), row_chunk):
+            Cc = C[lo : lo + row_chunk]
+            s = np.multiply.outer(Cc[:, 1], grid[:, 0])
+            for j in range(2, n + 1):
+                s += np.multiply.outer(Cc[:, j], grid[:, j - 1])
+            c0 = Cc[:, :1]
+            hit = s % c0 == 0
+            hit &= s != 0
+            hit &= s <= Z * c0
+            hit &= s >= -Z * c0
+            r, g = np.nonzero(hit)
+            q = np.abs(s[r, g]) // Cc[r, 0]
+            hist += np.bincount(np.maximum(q, gmax[g]), minlength=Z + 1)
     return hist
 
 
@@ -375,8 +393,6 @@ def _height_hist(n: int, B: int, conv: CountingConvention, threads: int) -> np.n
         raise BudgetExceededError(f"bound {B} exceeds the counting engine's budget of {_BOUND_BUDGET}")
     if not isinstance(conv, CountingConvention):
         raise ValueError("conv must be a CountingConvention")
-    if n * B * B >= 2**62:
-        raise OverflowGuardError(f"(n={n}, B={B}) would overflow the int64 kernel sums")
     # The (1, 1) block has the largest z-cap of all.
     _check_z_grid(n, _z_cap(B, 1, 1, conv.domain))
 

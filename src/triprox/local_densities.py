@@ -148,20 +148,17 @@ def _tail_bound(p: int, n: int, t_max: int) -> float:
     to p^(-n) <= 1/2.  Beyond the first T with ratio <= 0.9 the sum is
     dominated geometrically.
     """
-
-    def g(t: int) -> float:
-        return (1.0 + t) ** (n + 1) * p ** (-n * t)
-
-    def ratio(t: int) -> float:
-        return ((t + 2.0) / (t + 1.0)) ** (n + 1) * p ** (-n)
-
+    q = p ** (-n)
+    e = n + 1
     total = 0.0
     t = t_max + 1
-    while ratio(t) > 0.9:
-        total += g(t)
+    while True:
+        g = (1.0 + t) ** e * p ** (-n * t)
+        ratio = ((t + 2.0) / (t + 1.0)) ** e * q
+        if ratio <= 0.9:
+            return total + g / (1.0 - ratio)
+        total += g
         t += 1
-    total += g(t) / (1.0 - ratio(t))
-    return total
 
 
 def _sigma(p: int, n: int, t_max: int) -> tuple[float, float]:

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ from triprox import (
     mc_sigma2,
     mc_sigma_diag,
     mc_sigma_prime,
+    predicted_constant,
     sigma_infty,
     sigma_infty_components,
     sigma_infty_prime,
 )
-from triprox.archimedean import Target, _offdiag_f, _tag
+from triprox.archimedean import _BLOCK, Target, _block_rng, _mc_blocks, _offdiag_f, _tag
 
 
 def combined(se1, se2):
@@ -59,6 +62,45 @@ class TestDeterminism:
         a = mc_sigma_diag(2, 0, 30000, 7)
         b = mc_sigma_diag(2, 1, 30000, 7)
         assert a.mean != b.mean  # independent streams, same integral
+
+    @staticmethod
+    def one_uniform_per_block(samples, dims, seed, tag, f_of_block):
+        """The single-threaded loop: one uniform(-1, 1) draw per whole block."""
+        sums, sqsums = [], []
+        for block, start in enumerate(range(0, samples, _BLOCK)):
+            m = min(_BLOCK, samples - start)
+            f = f_of_block(_block_rng(seed, tag, block).uniform(-1.0, 1.0, (m, dims)))
+            sums.append(float(f.sum()))
+            sqsums.append(float((f * f).sum()))
+        mean = math.fsum(sums) / samples
+        var = max(0.0, (math.fsum(sqsums) - samples * mean * mean) / (samples - 1))
+        return mean, math.sqrt(var / samples)
+
+    @staticmethod
+    def integrand(dims):
+        """The diagonal integrand for dims = 3n, the off-diagonal one for 3n - 1."""
+        if dims % 3 == 2:
+            return _offdiag_f((dims + 1) // 3)
+        n = dims // 3
+
+        def f(pts):
+            return (np.abs((pts[:, :n] * pts[:, n : 2 * n] * pts[:, 2 * n :]).sum(axis=1)) <= 1.0).astype(float)
+
+        return f
+
+    @pytest.mark.parametrize("dims", [5, 6, 8, 9])
+    @pytest.mark.parametrize("samples", [2, 5, 16385, _BLOCK + 13, 3 * _BLOCK])
+    def test_sliced_blocks_equal_whole_blocks_for_any_worker_count(self, monkeypatch, samples, dims):
+        f = self.integrand(dims)
+        expected = self.one_uniform_per_block(samples, dims, 7, 262208, f)
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert _mc_blocks(samples, dims, 7, 262208, f) == expected
+
+    def test_no_thread_outlives_the_estimate(self):
+        before = threading.active_count()
+        predicted_constant(2, 50, 25, 3 * _BLOCK, 0)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("n", [1, 2, 7, 63])
     def test_stream_tags_injective(self, n):

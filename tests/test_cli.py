@@ -78,6 +78,13 @@ class TestCount:
         monkeypatch.setattr(counting, "_grid", no_grid)
         assert main(["count", "--n", "3", "--bound", "2000"]) == EXIT_BUDGET
 
+    @pytest.mark.parametrize("n", [10**8, 10**12])
+    def test_huge_dimension_refused_quickly(self, n, capsys):
+        t0 = time.perf_counter()
+        assert main(["count", "--n", str(n), "--bound", "1"]) == EXIT_BUDGET
+        assert time.perf_counter() - t0 < 1.0
+        assert f"n={n}, Z=1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["count", "--n", "1", "--bound", "33554432"],
         ["count", "--n", "2", "--bound", "100000000", "--convention", "E3"],

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import triprox.counting as counting
 from triprox import (
     BudgetExceededError,
     CountingConvention,
@@ -159,6 +160,15 @@ class TestKernelHistogram:
         hist = 2 * _kernel_rows(C, Z)
         assert hist.tolist() == self.naive_hist(C.tolist(), Z)
         assert hist.sum() > 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, 40])
+    @pytest.mark.parametrize("n, Z", [(1, 6), (2, 4), (3, 3)])
+    def test_grid_pieces_match_literal_scan(self, monkeypatch, n, Z, chunk):
+        # a small cell budget splits the z_1 range into several grid pieces
+        monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
+        rng = np.random.default_rng(10 + n)
+        C = rng.integers(1, 9, size=(5, n + 1))
+        assert (2 * _kernel_rows(C, Z)).tolist() == self.naive_hist(C.tolist(), Z)
 
 
 def _gcd_one(V):

@@ -28,6 +28,12 @@ def test_cli_import_leaves_scipy_unloaded():
     assert run_fresh("import json, sys, triprox.cli; print(json.dumps('scipy' in sys.modules))") is False
 
 
+def test_cli_import_leaves_thread_pool_unloaded():
+    # the MC imports its thread pool when it runs
+    code = "import json, sys, triprox.cli; print(json.dumps('concurrent.futures.thread' in sys.modules))"
+    assert run_fresh(code) is False
+
+
 @pytest.mark.parametrize("argv, loads_scipy", [
     (["count", "--n", "2", "--bound", "10", "--convention", "primitive"], False),
     (["compare", "--n", "2", "--bounds", "8,12", "--p-max", "30", "--t-max", "15",

@@ -172,3 +172,15 @@ class TestEulerProduct:
 
     def test_p_max_at_prime_table_limit_tail_exact(self):
         assert euler_product(2, 10**6, 40).tail == 2.302079206406394e-05
+
+    @pytest.mark.parametrize("n, t_max, value, tail", [
+        (3, 1, 1.0147799256318653, 4.544088687631159),
+        (3, 5, 1.1821633541358156, 0.009268254683347143),
+        (3, 40, 1.1826469334791727, 2.2470291736317747e-11),
+        (4, 1, 1.1175430927106842, 2.1648683255117023),
+        (4, 5, 1.1948540035784776, 0.0010379948726257039),
+        (4, 40, 1.1948852592462031, 2.788065604907808e-17),
+    ])
+    def test_p_max_at_prime_table_limit_exact_n3_n4(self, n, t_max, value, tail):
+        ep = euler_product(n, 10**6, t_max)
+        assert (ep.value, ep.tail) == (value, tail)
