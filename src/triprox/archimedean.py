@@ -27,11 +27,20 @@ draws exactly the doubles the whole block would.  2U - 1 equals uniform(-1, 1)
 bit for bit (2U is exact and IEEE addition commutes), the integrands act row
 by row, and each block's sums are taken over the whole block in row order, so
 the result does not depend on the number of threads.
+
+The integrands make a few full-length passes over a slice's columns.  The
+slab sum A = sum_k s_k t_k u_k is built one column triple at a time in place,
+in the k order and the (s*t)*u order of a row sum, so it has the row sum's
+bits without an (m, n) product array.  The off-diagonal interval ends are
+formed from B = copysign(A, A*u0) = A*sign(u0) as (|w| +- B)/|u0|; they equal
+the ends (+-|w| - A)/u0 of the direct formula to the bit, since negation is
+exact, dividing by -|u0| only flips the sign, and x - (-y) = x + y.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +51,6 @@ from .lattice import check_dim
 
 _BLOCK = 1 << 16
 _SLICE = _BLOCK // 4
-_MASK64 = (1 << 64) - 1
 # Stream tags pack the indices i0, j0 and k0 (all <= n) in base 64, so they
 # are injective only for n < _TAG_BASE.
 _TAG_BASE = 64
@@ -128,7 +136,7 @@ def _tag(target: Target, i0: int, j0: int, extra: int = 0) -> int:
 
 
 def _block_rng(seed: int, tag: int, block: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, ((tag & 0xFFFFFF) << 40) | (block & ((1 << 40) - 1))],
+    key = np.array([seed, ((tag & 0xFFFFFF) << 40) | (block & ((1 << 40) - 1))],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -145,6 +153,10 @@ def _mc_blocks(samples: int, dims: int, seed: int, tag: int, f_of_block):
 
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    # The seed is the first 64-bit word of every Philox key: a seed outside
+    # that range would have to be wrapped onto, and so share, another's streams.
+    if not 0 <= operator.index(seed) < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
     def fill(f, block, lo):
         rng = _block_rng(seed, tag, block)
@@ -198,6 +210,38 @@ def _check_indices(n: int, i0: int, j0: int | None = None, distinct: bool = Fals
 # ---------------------------------------------------------------------------
 
 
+def _slab(pts, first: int, terms: int, n: int):
+    """sum_k s_k*t_k*u_k over the column triples (first + k, n + k, 2n + k), k < terms.
+
+    Built one column triple at a time and in place, with (s*t)*u per term and
+    the terms added in k order: the bits of the row sum of an (s*t*u) array.
+    """
+    if terms == 0:
+        return np.zeros(len(pts))
+    A = pts[:, first] * pts[:, n]
+    A *= pts[:, 2 * n]
+    term = np.empty_like(A)
+    for k in range(1, terms):
+        np.multiply(pts[:, first + k], pts[:, n + k], out=term)
+        term *= pts[:, 2 * n + k]
+        A += term
+    return A
+
+
+def _diag_f(n: int):
+    """Diagonal integrand on (m, 3n) sample arrays: [|sum_k s_k t_k u_k| <= 1].
+
+    Columns: [s (n), t (n), u (n)].
+    """
+
+    def f(pts):
+        A = _slab(pts, 0, n, n)
+        np.abs(A, out=A)
+        return (A <= 1.0).astype(float)
+
+    return f
+
+
 def mc_sigma_diag(n: int, i0: int, samples: int, seed: int) -> ArchEstimate:
     """Plain MC for the diagonal density (volume 8^n box, indicator slab).
 
@@ -206,12 +250,7 @@ def mc_sigma_diag(n: int, i0: int, samples: int, seed: int) -> ArchEstimate:
     """
     _check_indices(n, i0)
     vol = 8.0**n
-
-    def f(pts):
-        s, t, u = pts[:, :n], pts[:, n : 2 * n], pts[:, 2 * n :]
-        return (np.abs((s * t * u).sum(axis=1)) <= 1.0).astype(float)
-
-    mean, se = _mc_blocks(samples, 3 * n, seed, _tag(Target.SIGMA_II, i0, i0), f)
+    mean, se = _mc_blocks(samples, 3 * n, seed, _tag(Target.SIGMA_II, i0, i0), _diag_f(n))
     return ArchEstimate(Target.SIGMA_II, i0, i0, n, samples, seed, vol * mean, vol * se)
 
 
@@ -220,29 +259,37 @@ def _offdiag_f(n: int):
 
     Columns: [pivot w, s_rest (n-1), t_rest (n-1), u0, u_rest (n-1)].  The
     coordinate paired with u0 is integrated exactly: its admissible set is
-    |tau| <= min(1, |w|) intersected with |A + tau*u0| <= |w| where
-    A = sum(s_rest*t_rest*u_rest); the contribution is length/|w| <= 2.
+    |tau| <= cap = min(1, |w|) intersected with |A + tau*u0| <= |w| where
+    A = sum(s_rest*t_rest*u_rest).  With B = A*sign(u0), that is the interval
+    from -t1 to t2, t1 = (|w| + B)/|u0| and t2 = (|w| - B)/|u0|, so the
+    contribution is max(0, fmin(t1, cap) + fmin(t2, cap))/|w| <= 2.  At
+    u0 = +-0 the quotients are +inf (the slab holds for every tau), -inf (for
+    none) or NaN (|A| = |w|: for every tau), and fmin clips each to the end
+    it stands for.
     """
 
     def f(pts):
-        w = pts[:, 0]
-        sr = pts[:, 1:n]
-        tr = pts[:, n : 2 * n - 1]
         u0 = pts[:, 2 * n - 1]
-        ur = pts[:, 2 * n :]
-        A = (sr * tr * ur).sum(axis=1)
-        aw = np.abs(w)
+        B = _slab(pts, 1, n - 1, n)
+        aw = np.abs(pts[:, 0])
+        au = np.abs(u0)
         cap = np.minimum(1.0, aw)
-        u_safe = np.where(u0 == 0.0, 1.0, u0)
-        e1 = (-aw - A) / u_safe
-        e2 = (aw - A) / u_safe
-        lo = np.minimum(e1, e2)
-        hi = np.maximum(e1, e2)
-        free = np.abs(A) <= aw
-        lo = np.where(u0 == 0.0, np.where(free, -np.inf, np.inf), lo)
-        hi = np.where(u0 == 0.0, np.where(free, np.inf, -np.inf), hi)
-        length = np.clip(np.minimum(hi, cap) - np.maximum(lo, -cap), 0.0, None)
-        return np.where(aw > 0.0, length / np.where(aw == 0.0, 1.0, aw), 0.0)
+        # Infinite and NaN quotients are meant (see above); so are underflow
+        # in A*u0, of which only the sign is used, and overflow at subnormal
+        # |u0|, which fmin clips to cap.
+        with np.errstate(all="ignore"):
+            np.copysign(B, B * u0, out=B)
+            t1 = aw + B
+            t1 /= au
+            np.fmin(t1, cap, out=t1)
+            t2 = np.subtract(aw, B, out=B)
+            t2 /= au
+            np.fmin(t2, cap, out=t2)
+            t1 += t2
+            np.maximum(t1, 0.0, out=t1)
+            t1 /= aw
+        t1[aw == 0.0] = 0.0
+        return t1
 
     return f
 

@@ -17,11 +17,99 @@ from triprox import (
     sigma_infty_components,
     sigma_infty_prime,
 )
-from triprox.archimedean import _BLOCK, Target, _block_rng, _mc_blocks, _offdiag_f, _tag
+from triprox.archimedean import _BLOCK, Target, _block_rng, _diag_f, _mc_blocks, _offdiag_f, _tag
 
 
 def combined(se1, se2):
     return math.hypot(se1, se2)
+
+
+def literal_diag_f(n):
+    """The diagonal integrand as first written: a row sum of the (s*t*u) array."""
+
+    def f(pts):
+        s, t, u = pts[:, :n], pts[:, n : 2 * n], pts[:, 2 * n :]
+        return (np.abs((s * t * u).sum(axis=1)) <= 1.0).astype(float)
+
+    return f
+
+
+def literal_offdiag_f(n):
+    """The off-diagonal integrand as first written: interval ends from both
+    quotients, with u0 = 0 handled by an explicit branch."""
+
+    def f(pts):
+        w = pts[:, 0]
+        sr = pts[:, 1:n]
+        tr = pts[:, n : 2 * n - 1]
+        u0 = pts[:, 2 * n - 1]
+        ur = pts[:, 2 * n :]
+        A = (sr * tr * ur).sum(axis=1)
+        aw = np.abs(w)
+        cap = np.minimum(1.0, aw)
+        u_safe = np.where(u0 == 0.0, 1.0, u0)
+        e1 = (-aw - A) / u_safe
+        e2 = (aw - A) / u_safe
+        lo = np.minimum(e1, e2)
+        hi = np.maximum(e1, e2)
+        free = np.abs(A) <= aw
+        lo = np.where(u0 == 0.0, np.where(free, -np.inf, np.inf), lo)
+        hi = np.where(u0 == 0.0, np.where(free, np.inf, -np.inf), hi)
+        length = np.clip(np.minimum(hi, cap) - np.maximum(lo, -cap), 0.0, None)
+        return np.where(aw > 0.0, length / np.where(aw == 0.0, 1.0, aw), 0.0)
+
+    return f
+
+
+def offdiag_edge_rows(n):
+    """Rows on every special case of the off-diagonal interval: w and u0 at
+    +-0 (and u0 subnormal), |A| = |w|, A = +-0 and |A| > |w|."""
+    ws = [0.0, -0.0, 0.25, -0.25, 0.5, 1.0, -1.0]
+    slabs = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]
+    u0s = [0.0, -0.0, 5e-324, -5e-324, 0.3, -0.3, 0.5, -0.5, 1.0, -1.0]
+    rows = []
+    for w in ws:
+        for a in slabs:
+            for u0 in u0s:
+                row = np.zeros(3 * n - 1)
+                row[[0, 1, n, 2 * n - 1, 2 * n]] = w, a, 1.0, u0, 1.0  # A = a*1*1
+                rows.append(row)
+    return np.array(rows)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype == np.float64 and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestFusedIntegrands:
+    """The in-place integrands equal their literal formulas bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_diag_equals_literal_formula(self, n, seed):
+        pts = np.random.default_rng(seed).uniform(-1, 1, (16384, 3 * n))
+        assert same_bits(_diag_f(n)(pts), literal_diag_f(n)(pts))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_offdiag_equals_literal_formula(self, n, seed):
+        pts = np.random.default_rng(seed).uniform(-1, 1, (16384, 3 * n - 1))
+        assert same_bits(_offdiag_f(n)(pts), literal_offdiag_f(n)(pts))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_offdiag_equals_literal_formula_on_edge_rows(self, n):
+        pts = offdiag_edge_rows(n)
+        got = _offdiag_f(n)(pts)
+        with np.errstate(over="ignore"):  # the literal quotients overflow at subnormal u0
+            expected = literal_offdiag_f(n)(pts)
+        assert same_bits(got, expected)
+        assert np.isfinite(got).all() and (got >= 0.0).all()
+        # u0 = +-0: the whole cap interval when |A| <= |w|, nothing otherwise
+        rows = pts[(pts[:, 2 * n - 1] == 0.0) & (pts[:, 0] != 0.0)]
+        aw = np.abs(rows[:, 0])
+        whole = 2.0 * np.minimum(1.0, aw) / aw
+        assert np.array_equal(_offdiag_f(n)(rows), np.where(np.abs(rows[:, 1]) <= aw, whole, 0.0))
+        assert (got[pts[:, 0] == 0.0] == 0.0).all()
 
 
 class TestIndicators:
@@ -81,12 +169,7 @@ class TestDeterminism:
         """The diagonal integrand for dims = 3n, the off-diagonal one for 3n - 1."""
         if dims % 3 == 2:
             return _offdiag_f((dims + 1) // 3)
-        n = dims // 3
-
-        def f(pts):
-            return (np.abs((pts[:, :n] * pts[:, n : 2 * n] * pts[:, 2 * n :]).sum(axis=1)) <= 1.0).astype(float)
-
-        return f
+        return _diag_f(dims // 3)
 
     @pytest.mark.parametrize("dims", [5, 6, 8, 9])
     @pytest.mark.parametrize("samples", [2, 5, 16385, _BLOCK + 13, 3 * _BLOCK])
@@ -115,6 +198,18 @@ class TestDeterminism:
         assert _tag(Target.SIGMA_II, 0, 0) == 0
         assert _tag(Target.SIGMA1, 0, 1) == 262208
         assert _tag(Target.SIGMA2_PRIME, 2, 1, extra=3) == 1056835
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, -(2**64)])
+    def test_seed_outside_the_key_word_refused(self, seed):
+        # the seed is one 64-bit key word: wrapping it would share streams
+        with pytest.raises(ValueError, match="seed"):
+            mc_sigma_diag(2, 0, 1000, seed)
+        with pytest.raises(ValueError, match="seed"):
+            predicted_constant(2, 30, 15, 1000, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_both_ends_of_the_key_word_accepted(self, seed):
+        assert 0.0 < mc_sigma1(2, 0, 1, 1000, seed).mean <= 2.0 * 2.0**5  # integrand <= 2
 
     def test_dimension_beyond_tag_range_refused(self):
         with pytest.raises(ValueError):

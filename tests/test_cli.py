@@ -191,6 +191,28 @@ class TestPredictAndCompare:
             "C_stderr": 232.48920661223409,
         }
 
+    def test_predict_n3_record_pinned(self, tmp_path):
+        # at n = 3 each slab sums more than one term per row, so the order of
+        # the MC's additions shows in these bits
+        store = tmp_path / "runs.jsonl"
+        assert main(["predict", "--n", "3", "--p-max", "30", "--t-max", "15",
+                     "--mc-samples", "20000", "--seed", "3", "--out", str(store)]) == EXIT_OK
+        rec = read_jsonl(store)[0]
+        assert {k: rec[k] for k in ("sigma_inf_prime", "C", "C_stderr")} == {
+            "sigma_inf_prime": 17391.98733494012,
+            "C": 3422.739091484518,
+            "C_stderr": 73.32156321109339,
+        }
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_predict_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, seed):
+        # -1 and 2**64 - 1 once keyed the same streams
+        store = tmp_path / "runs.jsonl"
+        assert main(["predict", "--n", "2", "--p-max", "30", "--t-max", "15",
+                     "--mc-samples", "2000", "--seed", seed, "--out", str(store)]) == EXIT_USAGE
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_compare_csv_roundtrip(self, tmp_path, capsys):
         store = tmp_path / "runs.jsonl"
         out_csv = tmp_path / "compare.csv"
