@@ -7,8 +7,6 @@ __version__ = "0.1.0"
 from .archimedean import (
     ArchEstimate,
     Target,
-    chi_diag,
-    chi_offdiag,
     mc_sigma1,
     mc_sigma2,
     mc_sigma_diag,

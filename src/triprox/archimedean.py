@@ -62,8 +62,6 @@ class Target(Enum):
     SIGMA2 = "SIGMA2"
     SIGMA1_PRIME = "SIGMA1_PRIME"
     SIGMA2_PRIME = "SIGMA2_PRIME"
-    SIGMA_INF = "SIGMA_INF"
-    SIGMA_INF_PRIME = "SIGMA_INF_PRIME"
 
 
 _TARGET_CODE = {t: i for i, t in enumerate(Target)}
@@ -71,59 +69,10 @@ _TARGET_CODE = {t: i for i, t in enumerate(Target)}
 
 @dataclass
 class ArchEstimate:
-    target: Target
-    i0: int
-    j0: int | None
-    n: int
-    samples: int
-    seed: int
     mean: float
     stderr: float
-    # SIGMA_INF(_PRIME) only: the sigma_infty_components it was built from.
+    # sigma_infty(_prime) only: the sigma_infty_components it was built from.
     components: dict | None = None
-
-
-# ---------------------------------------------------------------------------
-# Pointwise indicators (used directly by the tests; the MC cores vectorize
-# the same formulas)
-# ---------------------------------------------------------------------------
-
-
-def chi_diag(s, t, u) -> int:
-    """Diagonal indicator: boxes |s|,|t|,|u| <= 1 and |sum_k s_k t_k u_k| <= 1.
-
-    The arrays hold the n free coordinates of each block (the pinned
-    coordinate of s and t is 1 and does not enter the sum).
-    """
-    s, t, u = (np.asarray(v, dtype=float) for v in (s, t, u))
-    if not (len(s) == len(t) == len(u)):
-        raise ValueError("s, t, u must have equal lengths")
-    boxes = max(np.abs(s).max(), np.abs(t).max(), np.abs(u).max()) <= 1.0
-    return int(boxes and abs(float((s * t * u).sum())) <= 1.0)
-
-
-def chi_offdiag(branch: int, s, t, u) -> int:
-    """Off-diagonal indicator for branch 1 or 2, on length-n arrays.
-
-    Layout (branch 1): s[0] is the pivot coordinate (slab denominator and
-    ordering majorant); t[0], u[0] sit on the coordinate whose s-entry is
-    pinned to 1, so the slab is t[0]*u[0] + sum_{k>=1} s[k]*t[k]*u[k]; the
-    ordering is |t[0]| <= |s[0]|.  Branch 2 mirrors s and t: pivot t[0],
-    slab s[0]*u[0] + sum_{k>=1} s[k]*t[k]*u[k], ordering |t[0]| >= |s[0]|.
-    """
-    if branch not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {branch}")
-    s, t, u = (np.asarray(v, dtype=float) for v in (s, t, u))
-    if not (len(s) == len(t) == len(u)) or len(s) < 1:
-        raise ValueError("s, t, u must have equal positive lengths")
-    if max(np.abs(s).max(), np.abs(t).max(), np.abs(u).max()) > 1.0:
-        return 0
-    rest = float((s[1:] * t[1:] * u[1:]).sum())
-    if branch == 1:
-        pivot, special, order = abs(float(s[0])), float(t[0] * u[0]), abs(float(t[0])) <= abs(float(s[0]))
-    else:
-        pivot, special, order = abs(float(t[0])), float(s[0] * u[0]), abs(float(t[0])) >= abs(float(s[0]))
-    return int(order and abs(special + rest) <= pivot)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +90,16 @@ def _block_rng(seed: int, tag: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _check_mc_inputs(samples: int, seed: int) -> None:
+    """Refuse fewer than 2 samples (no stderr) and a seed outside [0, 2**64)."""
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    # The seed is the first 64-bit word of every Philox key: a seed outside
+    # that range would have to be wrapped onto, and so share, another's streams.
+    if not 0 <= operator.index(seed) < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _mc_blocks(samples: int, dims: int, seed: int, tag: int, f_of_block):
     """Mean and stderr of f over `samples` points of the uniform box [-1,1]^dims.
 
@@ -151,12 +110,7 @@ def _mc_blocks(samples: int, dims: int, seed: int, tag: int, f_of_block):
     # the pool is joined before the call returns (compare forks count workers).
     from concurrent.futures import ThreadPoolExecutor
 
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    # The seed is the first 64-bit word of every Philox key: a seed outside
-    # that range would have to be wrapped onto, and so share, another's streams.
-    if not 0 <= operator.index(seed) < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    _check_mc_inputs(samples, seed)
 
     def fill(f, block, lo):
         rng = _block_rng(seed, tag, block)
@@ -251,7 +205,7 @@ def mc_sigma_diag(n: int, i0: int, samples: int, seed: int) -> ArchEstimate:
     _check_indices(n, i0)
     vol = 8.0**n
     mean, se = _mc_blocks(samples, 3 * n, seed, _tag(Target.SIGMA_II, i0, i0), _diag_f(n))
-    return ArchEstimate(Target.SIGMA_II, i0, i0, n, samples, seed, vol * mean, vol * se)
+    return ArchEstimate(vol * mean, vol * se)
 
 
 def _offdiag_f(n: int):
@@ -298,7 +252,7 @@ def _mc_offdiag(target: Target, n: int, i0: int, j0: int, samples: int, seed: in
     _check_indices(n, i0, j0, distinct=True)
     vol = 2.0 ** (3 * n - 1)
     mean, se = _mc_blocks(samples, 3 * n - 1, seed, _tag(target, i0, j0), _offdiag_f(n))
-    return ArchEstimate(target, i0, j0, n, samples, seed, vol * mean, vol * se)
+    return ArchEstimate(vol * mean, vol * se)
 
 
 def mc_sigma1(n: int, i0: int, j0: int, samples: int, seed: int) -> ArchEstimate:
@@ -355,8 +309,7 @@ def mc_sigma_prime(n: int, i0: int, j0: int, which: int, samples: int, seed: int
         mean, se = _mc_blocks(samples, 3 * n, seed, _tag(target, i0, j0, extra=k0), make_f(k0))
         means.append(vol * mean)
         variances.append((vol * se) ** 2)
-    return ArchEstimate(target, i0, j0, n, samples, seed,
-                        math.fsum(means), math.sqrt(math.fsum(variances)))
+    return ArchEstimate(math.fsum(means), math.sqrt(math.fsum(variances)))
 
 
 def sigma_infty_components(n: int, samples: int, seed: int) -> dict:
@@ -380,7 +333,7 @@ def sigma_infty(n: int, samples: int, seed: int) -> ArchEstimate:
     diag, off1, off2 = parts["diag"], parts["off1"], parts["off2"]
     mean = parts["diagonal_total"] + parts["offdiagonal_total"]
     var = ((n + 1) * diag.stderr) ** 2 + (n * (n + 1)) ** 2 * (off1.stderr**2 + off2.stderr**2)
-    return ArchEstimate(Target.SIGMA_INF, 0, None, n, samples, seed, mean, math.sqrt(var), parts)
+    return ArchEstimate(mean, math.sqrt(var), parts)
 
 
 def sigma_infty_prime(n: int, samples: int, seed: int) -> ArchEstimate:
@@ -389,5 +342,4 @@ def sigma_infty_prime(n: int, samples: int, seed: int) -> ArchEstimate:
     estimators are never used here."""
     base = sigma_infty(n, samples, seed)
     scale = n / 2.0
-    return ArchEstimate(Target.SIGMA_INF_PRIME, 0, None, n, samples, seed,
-                        scale * base.mean, scale * base.stderr, base.components)
+    return ArchEstimate(scale * base.mean, scale * base.stderr, base.components)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .archimedean import ArchEstimate, sigma_infty_prime
+from .archimedean import ArchEstimate, _check_mc_inputs, sigma_infty_prime
 from .errors import BudgetExceededError
 from .lattice import check_dim
 from .local_densities import EulerProductResult, euler_product
@@ -27,7 +27,6 @@ _CENSUS_ORACLE_MAX_N = 4
 
 @dataclass
 class CensusResult:
-    n: int
     count: int
     by_dimension: dict[int, int] | None = None
 
@@ -43,7 +42,7 @@ def census(n: int, mode: str = "formula") -> CensusResult:
     check_dim(n)
     if mode == "formula":
         count = 4 ** (n + 1) - 3 * 3 ** (n + 1) + 3 * 2 ** (n + 1) - 1
-        return CensusResult(n, count)
+        return CensusResult(count)
     if mode != "oracle":
         raise ValueError(f"mode must be 'formula' or 'oracle', got {mode!r}")
     if n > _CENSUS_ORACLE_MAX_N:
@@ -60,12 +59,11 @@ def census(n: int, mode: str = "formula") -> CensusResult:
                     count += 1
                     dim = 3 * n - (popcount[I] + popcount[J] + popcount[K])
                     by_dim[dim] = by_dim.get(dim, 0) + 1
-    return CensusResult(n, count, dict(sorted(by_dim.items())))
+    return CensusResult(count, dict(sorted(by_dim.items())))
 
 
 @dataclass
 class Prediction:
-    n: int
     euler_product: EulerProductResult
     sigma_inf_prime: ArchEstimate
     C: float
@@ -82,8 +80,9 @@ def predicted_constant(n: int, p_max: int, t_max: int, mc_samples: int, seed: in
     check_dim(n)
     if n < 2:
         raise ValueError("the predicted constant requires n >= 2 (the Euler product diverges at n=1)")
+    _check_mc_inputs(mc_samples, seed)  # before the Euler product, which can take a while
     ep = euler_product(n, p_max, t_max)
     arch = sigma_infty_prime(n, mc_samples, seed)
     C = ep.value * arch.mean / (2.0 * n)
     C_stderr = math.hypot(ep.value * arch.stderr, ep.tail * arch.mean) / (2.0 * n)
-    return Prediction(n=n, euler_product=ep, sigma_inf_prime=arch, C=C, C_stderr=C_stderr)
+    return Prediction(euler_product=ep, sigma_inf_prime=arch, C=C, C_stderr=C_stderr)

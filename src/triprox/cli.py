@@ -16,15 +16,16 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from . import __version__
 from .archimedean import sigma_infty_components  # noqa: F401 (not called; a perfbench trace boundary)
+from .arith import is_prime
 from .assembly import census, predicted_constant
 from .counting import NAMED_CONVENTIONS, _height_hist, count_points, mobius_count
 from .delta_method import KernelConfig, delta_series
 from .errors import BudgetExceededError, OverflowGuardError
+from .local_densities import local_density
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,31 +33,14 @@ EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
 
 
-@dataclass
-class RunRecord:
-    """One self-describing store record: parameters echoed next to results."""
-
-    kind: str
-    parameters: dict
-    results: dict
-    artifact_version: str = __version__
-    timestamp: float = field(default_factory=time.time)
-
-    def flat(self) -> dict:
-        """Flattened JSON object with fixed key order."""
-        out = {"kind": self.kind}
-        out.update(self.parameters)
-        out.update(self.results)
-        out["version"] = self.artifact_version
-        out["timestamp"] = self.timestamp
-        return out
-
-
-def _append_record(path: str | None, record: RunRecord) -> None:
+def _append_record(path: str | None, kind: str, parameters: dict, results: dict) -> None:
+    """Append one self-describing record: parameters echoed next to results,
+    flattened in fixed key order."""
     if not path:
         return
+    record = {"kind": kind, **parameters, **results, "version": __version__, "timestamp": time.time()}
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record.flat(), ensure_ascii=False) + "\n")
+        fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -95,12 +79,9 @@ def cmd_count(args) -> int:
         else:
             value = count_points(args.n, B, NAMED_CONVENTIONS[args.convention], threads=args.threads).count
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        record = RunRecord(
-            "count",
-            {"n": args.n, "B": B, "convention": args.convention},
-            {"count": value, "elapsed_ms": round(elapsed_ms, 3)},
-        )
-        _append_record(args.out, record)
+        _append_record(args.out, "count",
+                       {"n": args.n, "B": B, "convention": args.convention},
+                       {"count": value, "elapsed_ms": round(elapsed_ms, 3)})
         print(f"count n={args.n} B={B} convention={args.convention}: {value}  ({elapsed_ms:.1f} ms)")
     return EXIT_OK
 
@@ -112,24 +93,19 @@ def cmd_predict(args) -> int:
     parts = arch.components
     print(f"predicted constant for n={args.n}")
     print("  rescaled local densities (p <= 20):")
-    for p, value in ep.factors:
-        if p > 20:
-            break
-        print(f"    p={p:<3d} sigma_p' = {value:.12f}")
+    for p in filter(is_prime, range(2, min(20, args.p_max) + 1)):
+        print(f"    p={p:<3d} sigma_p' = {local_density(p, args.n, args.t_max).sigma_p_prime:.12f}")
     print(f"  euler product (p <= {args.p_max}, t_max={args.t_max}) = {ep.value:.12f}  tail ~ {ep.tail:.3e}")
     print(f"  sigma_inf components: diagonal = {parts['diagonal_total']:.6f}, "
           f"off-diagonal = {parts['offdiagonal_total']:.6f}")
     print(f"  sigma_inf' = {arch.mean:.6f} +- {arch.stderr:.6f}  ({args.mc_samples} samples, seed {args.seed})")
     print(f"  C = {pred.C:.6f} +- {pred.C_stderr:.6f}")
-    record = RunRecord(
-        "predict",
-        {"n": args.n, "p_max": args.p_max, "t_max": args.t_max,
-         "mc_samples": args.mc_samples, "seed": args.seed},
-        {"euler_product": ep.value, "euler_tail": ep.tail,
-         "sigma_inf_prime": arch.mean, "sigma_inf_prime_stderr": arch.stderr,
-         "C": pred.C, "C_stderr": pred.C_stderr},
-    )
-    _append_record(args.out, record)
+    _append_record(args.out, "predict",
+                   {"n": args.n, "p_max": args.p_max, "t_max": args.t_max,
+                    "mc_samples": args.mc_samples, "seed": args.seed},
+                   {"euler_product": ep.value, "euler_tail": ep.tail,
+                    "sigma_inf_prime": arch.mean, "sigma_inf_prime_stderr": arch.stderr,
+                    "C": pred.C, "C_stderr": pred.C_stderr})
     return EXIT_OK
 
 
@@ -148,12 +124,9 @@ def cmd_delta(args) -> int:
         print("  empirical c_Q undefined: raw(0) = 0")
     else:
         print(f"  empirical c_Q ~ 1/raw(0) = {1.0 / raw0:.9f}")
-    record = RunRecord(
-        "delta",
-        {"Q": args.Q, "q_max": config.q_max, "l_range": [lo, hi]},
-        {"raw": {str(l): value for l, value in rows.items()}},
-    )
-    _append_record(args.out, record)
+    _append_record(args.out, "delta",
+                   {"Q": args.Q, "q_max": config.q_max, "l_range": [lo, hi]},
+                   {"raw": {str(l): value for l, value in rows.items()}})
     return EXIT_OK
 
 
@@ -164,13 +137,10 @@ def cmd_census(args) -> int:
         for dim, cnt in result.by_dimension.items():
             print(f"  stratum dimension {dim}: {cnt}")
     print(f"  desingularized Picard rank: 3 + {result.count} = {3 + result.count}")
-    record = RunRecord(
-        "census",
-        {"n": args.n, "mode": args.mode},
-        {"count": result.count, "by_dimension": result.by_dimension,
-         "picard_rank": 3 + result.count},
-    )
-    _append_record(args.out, record)
+    _append_record(args.out, "census",
+                   {"n": args.n, "mode": args.mode},
+                   {"count": result.count, "by_dimension": result.by_dimension,
+                    "picard_rank": 3 + result.count})
     return EXIT_OK
 
 
@@ -200,13 +170,10 @@ def cmd_compare(args) -> int:
                 writer.writerow(row)
         print(f"wrote {args.csv}")
 
-    record = RunRecord(
-        "compare",
-        {"n": args.n, "bounds": list(args.bounds), "p_max": args.p_max,
-         "t_max": args.t_max, "mc_samples": args.mc_samples, "seed": args.seed},
-        {"rows": rows},
-    )
-    _append_record(args.out, record)
+    _append_record(args.out, "compare",
+                   {"n": args.n, "bounds": list(args.bounds), "p_max": args.p_max,
+                    "t_max": args.t_max, "mc_samples": args.mc_samples, "seed": args.seed},
+                   {"rows": rows})
     return EXIT_OK
 
 

@@ -102,10 +102,6 @@ class CountingConvention:
             raise ValueError(f"sign_fix must be a subset of {{'x','y','z'}}, got {self.sign_fix}")
         object.__setattr__(self, "sign_fix", frozenset(self.sign_fix))
 
-    def label(self) -> str:
-        sf = "".join(s for s in "xyz" if s in self.sign_fix) or "-"
-        return f"prim={int(self.primitive)},sf={sf},{self.domain.value}"
-
 
 #: Conventions with standard names, as accepted by the CLI.
 NAMED_CONVENTIONS: dict[str, CountingConvention] = {
@@ -136,9 +132,6 @@ def _in_domain(B: int, a: int, b: int, c, domain: Domain):
 
 @dataclass
 class ExactCount:
-    n: int
-    B: int
-    convention: CountingConvention
     count: int
 
 
@@ -418,7 +411,7 @@ def count_points(
     Deterministic for fixed (n, B, conv): the result does not depend on
     ``threads``.
     """
-    return ExactCount(n, B, conv, int(_height_hist(n, B, conv, threads).sum()))
+    return ExactCount(int(_height_hist(n, B, conv, threads).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +548,7 @@ def oracle_sweep(n: int, B: int, convs: list[CountingConvention]) -> list[ExactC
                     ymask, zmask = masks
                     totals[ci] += int(ymask @ (sol @ zmask))
 
-    return [ExactCount(n, B, conv, t) for conv, t in zip(convs, totals)]
+    return [ExactCount(t) for t in totals]
 
 
 def count_points_oracle(n: int, B: int, conv: CountingConvention) -> ExactCount:

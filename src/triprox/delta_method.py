@@ -51,8 +51,8 @@ def bump_integral(tol: float = 1e-12) -> float:
 
 
 @lru_cache(maxsize=None)
-def _c0(tol: float = 1e-12) -> float:
-    return bump_integral(tol)
+def _c0() -> float:
+    return bump_integral()
 
 
 def window(x: float, c0: float | None = None) -> float:
@@ -108,13 +108,11 @@ class KernelConfig:
     """Shared constants for delta-series evaluations."""
 
     c0: float
-    quadrature_abs_tol: float
     Q: float
     q_max: int
 
     @classmethod
-    def build(cls, Q: float, tol: float = 1e-12, q_max: int | None = None,
-              l_max: int = 0) -> "KernelConfig":
+    def build(cls, Q: float, q_max: int | None = None, l_max: int = 0) -> "KernelConfig":
         """Validate Q and q_max, then compute c0.
 
         Before the quadrature, refuse a range |l| <= l_max whose widest kernel
@@ -132,10 +130,10 @@ class KernelConfig:
             raise BudgetExceededError(f"q_max={q_max} exceeds the delta-series budget of {_MAX_Q_MAX}")
         Qf = float(Q)
         _j_windows(1 / Qf, l_max / Qf**2)  # the (x, y) of delta_series at q = 1
-        c0 = _c0(tol)
+        c0 = _c0()
         if c0 <= 0:
             raise ArithmeticError("bump integral must be positive")
-        return cls(c0=c0, quadrature_abs_tol=tol, Q=Qf, q_max=q_max)
+        return cls(c0=c0, Q=Qf, q_max=q_max)
 
 
 def delta_series(l: int, Q: float | None = None, q_max: int | None = None,

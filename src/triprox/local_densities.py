@@ -126,9 +126,6 @@ def zero_freq_total(q: int, n: int) -> int:
 
 @dataclass
 class LocalDensityResult:
-    p: int
-    n: int
-    t_max: int
     sigma_p: float
     sigma_p_prime: float
     tail_bound: float
@@ -186,17 +183,13 @@ def local_density(p: int, n: int, t_max: int) -> LocalDensityResult:
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     s, s_prime = _sigma(p, n, t_max)
-    return LocalDensityResult(p, n, t_max, s, s_prime, _tail_bound(p, n, t_max))
+    return LocalDensityResult(s, s_prime, _tail_bound(p, n, t_max))
 
 
 @dataclass
 class EulerProductResult:
-    n: int
-    p_max: int
-    t_max: int
     value: float
     tail: float
-    factors: tuple[tuple[int, float], ...]
 
 
 def euler_product(n: int, p_max: int, t_max: int = 40) -> EulerProductResult:
@@ -210,6 +203,8 @@ def euler_product(n: int, p_max: int, t_max: int = 40) -> EulerProductResult:
     exceed the prime table, which would drop factors without widening the tail.
     Each t-sum stops at the first term that leaves it unchanged; the terms fall
     strictly, so it is bit-for-bit the all-t sum.  Primes come from the table.
+    Only the value and the tail are returned; the factors are not kept
+    (``local_density(p, n, t_max).sigma_p_prime`` gives any one of them).
     """
     check_dim(n)
     if p_max < 2:
@@ -222,12 +217,10 @@ def euler_product(n: int, p_max: int, t_max: int = 40) -> EulerProductResult:
     stop = bisect.bisect_right(primes, p_max)
     value = 1.0
     log_trunc = 0.0
-    factors = []
     for p in primes[:stop]:
         s, s_prime = _sigma(p, n, t_max)
         value *= s_prime
         log_trunc += _tail_bound(p, n, t_max) / s
-        factors.append((p, s_prime))
 
     if n == 1:
         log_prime_tail = math.inf
@@ -245,4 +238,4 @@ def euler_product(n: int, p_max: int, t_max: int = 40) -> EulerProductResult:
         log_prime_tail = log_small + (2 ** (n + 2) + 6) * p_cut ** (1 - n) / (n - 1)
 
     tail = value * math.expm1(log_prime_tail + log_trunc) if math.isfinite(log_prime_tail) else math.inf
-    return EulerProductResult(n, p_max, t_max, value, tail, tuple(factors))
+    return EulerProductResult(value, tail)

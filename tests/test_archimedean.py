@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from triprox import (
-    chi_diag,
-    chi_offdiag,
     mc_sigma1,
     mc_sigma2,
     mc_sigma_diag,
@@ -110,31 +108,6 @@ class TestFusedIntegrands:
         whole = 2.0 * np.minimum(1.0, aw) / aw
         assert np.array_equal(_offdiag_f(n)(rows), np.where(np.abs(rows[:, 1]) <= aw, whole, 0.0))
         assert (got[pts[:, 0] == 0.0] == 0.0).all()
-
-
-class TestIndicators:
-    def test_diag_origin(self):
-        assert chi_diag([0, 0], [0, 0], [0, 0]) == 1
-
-    def test_diag_box_violation(self):
-        assert chi_diag([2, 0], [0, 0], [0, 0]) == 0
-
-    def test_diag_slab_violation(self):
-        assert chi_diag([1, 1], [1, 1], [1, 1]) == 0
-
-    def test_offdiag_basic(self):
-        assert chi_offdiag(1, [1, 0], [0, 0], [0, 0]) == 1
-
-    def test_offdiag_ordering(self):
-        # |t_pivot| > |s_pivot| kills branch 1
-        assert chi_offdiag(1, [0.5, 0], [0.9, 0], [0, 0]) == 0
-        assert chi_offdiag(2, [0.5, 0], [0.9, 0], [0, 0]) == 1
-
-    def test_branches_double_count_ordering_boundary(self):
-        # on |t_pivot| == |s_pivot| with both slabs satisfied, both branches fire
-        s, t, u = [0.5, 0.1], [0.5, 0.2], [0.3, 0.1]
-        if abs(t[0] * u[0] + s[1] * t[1] * u[1]) <= abs(s[0]):
-            assert chi_offdiag(1, s, t, u) + chi_offdiag(2, s, t, u) == 2
 
 
 class TestDeterminism:

@@ -1,11 +1,15 @@
 import csv
+import importlib.util
 import json
+import pathlib
 import re
+import sys
 import time
 
 import pytest
 
 import triprox.archimedean as archimedean
+import triprox.assembly as assembly
 import triprox.cli as cli
 import triprox.counting as counting
 import triprox.delta_method as delta_method
@@ -204,6 +208,40 @@ class TestPredictAndCompare:
             "C_stderr": 73.32156321109339,
         }
 
+    @pytest.mark.parametrize("bad", [["--seed=-1"], ["--seed", str(2**64)], ["--mc-samples", "1"]])
+    def test_bad_mc_input_refused_before_the_euler_product(self, tmp_path, monkeypatch, bad):
+        def no_product(*args, **kwargs):
+            raise AssertionError("the Euler product must not run")
+
+        monkeypatch.setattr(assembly, "euler_product", no_product)
+        store = tmp_path / "runs.jsonl"
+        assert main(["predict", "--n", "2", "--p-max", "1000000", *bad, "--out", str(store)]) == EXIT_USAGE
+        assert not store.exists()
+
+    def test_predict_prints_the_parents_density_table(self, capsys):
+        assert main(["predict", "--n", "2", "--p-max", "30", "--t-max", "15",
+                     "--mc-samples", "20000", "--seed", "3"]) == EXIT_OK
+        lines = [line for line in capsys.readouterr().out.splitlines() if "sigma_p' =" in line]
+        assert lines == [
+            "    p=2   sigma_p' = 0.792968699355",
+            "    p=3   sigma_p' = 1.038256363359",
+            "    p=5   sigma_p' = 1.071677440000",
+            "    p=7   sigma_p' = 1.052375962327",
+            "    p=11  sigma_p' = 1.027783402172",
+            "    p=13  sigma_p' = 1.021255567708",
+            "    p=17  sigma_p' = 1.013499508997",
+            "    p=19  sigma_p' = 1.011108254030",
+        ]
+        # the table stops at p_max when p_max < 20
+        assert main(["predict", "--n", "3", "--p-max", "7", "--mc-samples", "20000"]) == EXIT_OK
+        lines = [line for line in capsys.readouterr().out.splitlines() if "sigma_p' =" in line]
+        assert lines == [
+            "    p=2   sigma_p' = 0.999750876913",
+            "    p=3   sigma_p' = 1.089952138502",
+            "    p=5   sigma_p' = 1.044115018355",
+            "    p=7   sigma_p' = 1.021141591243",
+        ]
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_predict_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, seed):
         # -1 and 2**64 - 1 once keyed the same streams
@@ -249,3 +287,21 @@ class TestPredictAndCompare:
         rows = read_jsonl(store)[0]["rows"]
         assert [(row["B"], row["count"]) for row in rows] == [
             (B, count_points(2, B, conv).count) for B in (12, 24)]
+
+
+class TestBenchmarkCounters:
+    def test_predict_side_layer_counters_survive(self, capsys, monkeypatch):
+        # The benchmark's tracer silently drops a counter whose result field is
+        # gone; these four read the prediction results' fields and arguments.
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        with tracing.traced(tracer):
+            assert main(["predict", "--n", "2", "--p-max", "50", "--mc-samples", "2000"]) == EXIT_OK
+        metrics = tracing.layer_metrics(tracer)
+        for name in ("local_densities.euler_product.rel_tail", "archimedean.sigma_inf_prime.rel_stderr",
+                     "assembly.predicted_constant.rel_stderr", "archimedean.mc.samples"):
+            assert metrics.get(name, 0) > 0, name
