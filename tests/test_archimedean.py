@@ -110,6 +110,64 @@ class TestFusedIntegrands:
         assert (got[pts[:, 0] == 0.0] == 0.0).all()
 
 
+def pointwise_offdiag(w, tau, A, u0):
+    """The branch-1 off-diagonal indicator at one point: s = (w, s_rest),
+    t = (tau, t_rest), u = (u0, u_rest), A = sum(s_rest*t_rest*u_rest).
+    Box |tau| <= 1, ordering |tau| <= |w|, slab |tau*u0 + A| <= |w|."""
+    return (np.abs(tau) <= min(1.0, abs(w))) & (np.abs(tau * u0 + A) <= abs(w))
+
+
+class TestIndicators:
+    """The pointwise indicators of the densities, as the sampler and the
+    integrands apply them (n = 2; off-diagonal rows are [w, s1, t1, u0, u1])."""
+
+    def test_diag_origin(self):
+        assert _diag_f(2)(np.zeros((1, 6))).tolist() == [1.0]
+
+    def test_diag_box_violation(self):
+        # the boxes |s|, |t|, |u| <= 1 hold for every point the sampler draws
+        seen = []
+
+        def record(pts):
+            seen.append(np.abs(pts).max())
+            return _diag_f(2)(pts)
+
+        _mc_blocks(_BLOCK + 13, 6, 0, 0, record)
+        assert 0.999 < max(seen) <= 1.0
+
+    def test_diag_slab_violation(self):
+        rows = np.array([[1.0] * 6, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])  # sums 2 and 1
+        assert _diag_f(2)(rows).tolist() == [0.0, 1.0]
+
+    def test_offdiag_basic(self):
+        # pivot 1, slab 0 <= 1 for every tau: the whole interval [-1, 1], over |w| = 1
+        assert _offdiag_f(2)(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])).tolist() == [2.0]
+
+    def test_offdiag_ordering(self):
+        # |tau| > |w| is cut: at w = 0.5 the free slab gives [-0.5, 0.5] / 0.5 = 2,
+        # not the whole box's 2 / 0.5 = 4
+        assert _offdiag_f(2)(np.array([[0.5, 0.0, 0.0, 0.0, 0.0]])).tolist() == [2.0]
+        assert not pointwise_offdiag(0.5, 0.9, 0.0, 0.0)
+        # and on random rows the integrand is the tau-integral of the pointwise
+        # indicator over |w| (midpoint rule, step 1e-5)
+        rows = np.random.default_rng(3).uniform(-1, 1, (12, 5))
+        rows[:, 0] = np.copysign(np.maximum(np.abs(rows[:, 0]), 0.1), rows[:, 0])
+        tau = np.linspace(-1.0, 1.0, 200_001)[:-1] + 5e-6
+        for row, got in zip(rows, _offdiag_f(2)(rows)):
+            w, s1, t1, u0, u1 = row
+            inside = pointwise_offdiag(w, tau, s1 * t1 * u1, u0)
+            assert got == pytest.approx(inside.sum() * 1e-5 / abs(w), abs=1e-3)
+
+    def test_branches_double_count_ordering_boundary(self):
+        # s = (0.5, 0.1), t = (0.5, 0.2), u = (0.3, 0.1) lies on |t_piv| == |s_piv|
+        # with both slabs satisfied: branch 1 (pivot s_piv, rest (0.1, 0.2, 0.1))
+        # and branch 2 (pivot t_piv, rest (0.2, 0.1, 0.1)) each count the whole
+        # closed cap [-0.5, 0.5], its end |tau| = |w| included
+        rows = np.array([[0.5, 0.1, 0.2, 0.3, 0.1], [0.5, 0.2, 0.1, 0.3, 0.1]])
+        assert _offdiag_f(2)(rows).tolist() == [2.0, 2.0]
+        assert pointwise_offdiag(0.5, 0.5, 0.1 * 0.2 * 0.1, 0.3)
+
+
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         a = mc_sigma_diag(2, 0, 30000, 7)
