@@ -18,15 +18,13 @@ sampling is partitioned into fixed blocks, each driven by a counter-based
 Philox stream keyed by (seed, target-tag, block index), and block sums are
 reduced with math.fsum in block order.  Results are bit-identical across runs.
 
-Each block is filled and evaluated as fixed slices of _SLICE rows on a small
-thread pool (numpy releases the GIL in the fill and in the ufuncs).  A slice
-rebuilds its block's stream and advances it past the rows before it: Philox4x64
-yields 4 doubles per counter step and the slice offset times the row width is
-a multiple of 4, so the skip is a whole number of counter steps and the slice
-draws exactly the doubles the whole block would.  2U - 1 equals uniform(-1, 1)
-bit for bit (2U is exact and IEEE addition commutes), the integrands act row
-by row, and each block's sums are taken over the whole block in row order, so
-the result does not depend on the number of threads.
+Each block is one task on a small thread pool (numpy releases the GIL in the
+fill and in the ufuncs).  A task draws its block from the block's own stream
+in slices of _SLICE rows, one after another, so the slices draw exactly the
+doubles of one whole-block draw; 2U - 1 equals uniform(-1, 1) bit for bit (2U
+is exact and IEEE addition commutes), the integrands act row by row, and each
+block's sums are taken over the whole block in row order.  So neither the
+slice size nor the number of threads changes the result.
 
 The integrands make a few full-length passes over a slice's columns.  The
 slab sum A = sum_k s_k t_k u_k is built one column triple at a time in place,
@@ -50,7 +48,7 @@ import numpy as np
 from .lattice import check_dim
 
 _BLOCK = 1 << 16
-_SLICE = _BLOCK // 4
+_SLICE = _BLOCK // 8  # rows drawn at a time: caps a thread's working set, not the bits
 # Stream tags pack the indices i0, j0 and k0 (all <= n) in base 64, so they
 # are injective only for n < _TAG_BASE.
 _TAG_BASE = 64
@@ -112,37 +110,22 @@ def _mc_blocks(samples: int, dims: int, seed: int, tag: int, f_of_block):
 
     _check_mc_inputs(samples, seed)
 
-    def fill(f, block, lo):
+    def block_sums(block):
         rng = _block_rng(seed, tag, block)
-        rng.bit_generator.advance(lo * dims // 4)
-        pts = rng.random((min(_SLICE, len(f) - lo), dims))
-        pts *= 2.0
-        pts -= 1.0
-        f[lo : lo + len(pts)] = f_of_block(pts)
+        f = np.empty(min(_BLOCK, samples - block * _BLOCK))
+        for lo in range(0, len(f), _SLICE):
+            pts = rng.random((min(_SLICE, len(f) - lo), dims))
+            pts *= 2.0
+            pts -= 1.0
+            f[lo : lo + len(pts)] = f_of_block(pts)
+        total = float(f.sum())
+        f *= f  # in place: the bits of (f * f).sum()
+        return total, float(f.sum())
 
-    sums, sqsums = [], []
-
-    def sum_block(f, jobs):
-        for job in jobs:
-            job.result()
-        sums.append(float(f.sum()))
-        sqsums.append(float((f * f).sum()))
-
-    # Each block is summed after the next one's slices are queued, so the
-    # workers do not wait while the main thread sums.
     with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        pending = None
-        for block, start in enumerate(range(0, samples, _BLOCK)):
-            f = np.empty(min(_BLOCK, samples - start))
-            jobs = [pool.submit(fill, f, block, lo) for lo in range(0, len(f), _SLICE)]
-            if pending:
-                sum_block(*pending)
-            pending = f, jobs
-        sum_block(*pending)
-    total = math.fsum(sums)
-    total_sq = math.fsum(sqsums)
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+        sums, sqsums = zip(*pool.map(block_sums, range(-(-samples // _BLOCK))))
+    mean = math.fsum(sums) / samples
+    var = max(0.0, (math.fsum(sqsums) - samples * mean * mean) / (samples - 1))
     return mean, math.sqrt(var / samples)
 
 

@@ -460,12 +460,15 @@ def _signed_exact_max(n: int, a: int) -> np.ndarray:
 
 
 def _oracle_budget(n: int, B: int) -> int:
+    """Tuples the oracle would scan, or the first partial sum over the budget."""
     ops = 0
     for a in range(1, B + 1):
         na = (2 * a) ** (n + 1) - (2 * (a - 1)) ** (n + 1)
         for b in range(1, B // a + 1):
             nb = (2 * b) ** (n + 1) - (2 * (b - 1)) ** (n + 1)
             ops += na * nb * (2 * (B // (a * b))) ** (n + 1)
+            if ops > _ORACLE_OPS_BUDGET:
+                return ops
     return ops
 
 

@@ -52,14 +52,15 @@ def bump_integral(tol: float = 1e-12) -> float:
 
 @lru_cache(maxsize=None)
 def _c0() -> float:
-    return bump_integral()
+    c0 = bump_integral()
+    if c0 <= 0:
+        raise ArithmeticError("bump integral must be positive")
+    return c0
 
 
-def window(x: float, c0: float | None = None) -> float:
+def window(x: float) -> float:
     """Unit-mass window supported in (1/2, 1): 4/c0 * bump(4x - 3)."""
-    if c0 is None:
-        c0 = _c0()
-    return 4.0 / c0 * bump(4.0 * x - 3.0)
+    return 4.0 / _c0() * bump(4.0 * x - 3.0)
 
 
 def _j_windows(x: float, y: float) -> list[tuple[int, int]]:
@@ -77,7 +78,7 @@ def _j_windows(x: float, y: float) -> list[tuple[int, int]]:
     return windows
 
 
-def kernel_h(x: float, y: float, c0: float | None = None) -> float:
+def kernel_h(x: float, y: float) -> float:
     """h(x, y) = sum_{j>0} (1/(xj)) * (window(xj) - window(|y|/(xj))), for x > 0.
 
     Evaluated as an exact finite sum: window has support in (1/2, 1), so only
@@ -90,8 +91,6 @@ def kernel_h(x: float, y: float, c0: float | None = None) -> float:
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
     windows = _j_windows(x, y)
-    if c0 is None:
-        c0 = _c0()
     ay = abs(y)
     js = set()
     for lo, hi in windows:
@@ -99,7 +98,7 @@ def kernel_h(x: float, y: float, c0: float | None = None) -> float:
     total = 0.0
     for j in sorted(js):
         xj = x * j
-        total += (window(xj, c0) - window(ay / xj, c0)) / xj
+        total += (window(xj) - window(ay / xj)) / xj
     return total
 
 
@@ -107,13 +106,12 @@ def kernel_h(x: float, y: float, c0: float | None = None) -> float:
 class KernelConfig:
     """Shared constants for delta-series evaluations."""
 
-    c0: float
     Q: float
     q_max: int
 
     @classmethod
     def build(cls, Q: float, q_max: int | None = None, l_max: int = 0) -> "KernelConfig":
-        """Validate Q and q_max, then compute c0.
+        """Validate Q and q_max, then compute c0 (cached).
 
         Before the quadrature, refuse a range |l| <= l_max whose widest kernel
         call is over the term budget: ``delta_series`` calls ``kernel_h`` at
@@ -130,10 +128,8 @@ class KernelConfig:
             raise BudgetExceededError(f"q_max={q_max} exceeds the delta-series budget of {_MAX_Q_MAX}")
         Qf = float(Q)
         _j_windows(1 / Qf, l_max / Qf**2)  # the (x, y) of delta_series at q = 1
-        c0 = _c0()
-        if c0 <= 0:
-            raise ArithmeticError("bump integral must be positive")
-        return cls(c0=c0, Q=Qf, q_max=q_max)
+        _c0()
+        return cls(Q=Qf, q_max=q_max)
 
 
 def delta_series(l: int, Q: float | None = None, q_max: int | None = None,
@@ -153,5 +149,5 @@ def delta_series(l: int, Q: float | None = None, q_max: int | None = None,
     for q in range(1, config.q_max + 1):
         cq = ramanujan_sum(q, l)
         if cq != 0:
-            total += cq * kernel_h(q / Qf, l / Qf**2, config.c0)
+            total += cq * kernel_h(q / Qf, l / Qf**2)
     return total / Qf**2

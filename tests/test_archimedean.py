@@ -15,6 +15,7 @@ from triprox import (
     sigma_infty_components,
     sigma_infty_prime,
 )
+import triprox.archimedean as archimedean
 from triprox.archimedean import _BLOCK, Target, _block_rng, _diag_f, _mc_blocks, _offdiag_f, _tag
 
 
@@ -203,13 +204,17 @@ class TestDeterminism:
         return _diag_f(dims // 3)
 
     @pytest.mark.parametrize("dims", [5, 6, 8, 9])
-    @pytest.mark.parametrize("samples", [2, 5, 16385, _BLOCK + 13, 3 * _BLOCK])
+    @pytest.mark.parametrize("samples", [2, 5, 16385, _BLOCK + 13, 3 * _BLOCK, 5 * _BLOCK + 1])
     def test_sliced_blocks_equal_whole_blocks_for_any_worker_count(self, monkeypatch, samples, dims):
+        # 5 * _BLOCK + 1 gives more blocks than the largest pool.  Philox
+        # yields 4 doubles per counter step: 1001 rows of odd width end mid-step.
         f = self.integrand(dims)
         expected = self.one_uniform_per_block(samples, dims, 7, 262208, f)
-        for cpus in (1, 2, 3, 4):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert _mc_blocks(samples, dims, 7, 262208, f) == expected
+        for rows in (archimedean._SLICE, 1001, _BLOCK):
+            monkeypatch.setattr(archimedean, "_SLICE", rows)
+            for cpus in (1, 2, 3, 4):
+                monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+                assert _mc_blocks(samples, dims, 7, 262208, f) == expected
 
     def test_no_thread_outlives_the_estimate(self):
         before = threading.active_count()

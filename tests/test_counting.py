@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -305,6 +306,13 @@ class TestOracleEquivalence:
     def test_oracle_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             count_points_oracle(3, 12, ALL)
+
+    def test_oracle_budget_guard_refuses_at_once(self):
+        # the guard stops summing at the first partial sum over the budget
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            oracle_sweep(2, 2**20, [ALL])
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSignBijections:
