@@ -18,13 +18,14 @@ sampling is partitioned into fixed blocks, each driven by a counter-based
 Philox stream keyed by (seed, target-tag, block index), and block sums are
 reduced with math.fsum in block order.  Results are bit-identical across runs.
 
-Each block is one task on a small thread pool (numpy releases the GIL in the
-fill and in the ufuncs).  A task draws its block from the block's own stream
-in slices of _SLICE rows, one after another, so the slices draw exactly the
-doubles of one whole-block draw; 2U - 1 equals uniform(-1, 1) bit for bit (2U
-is exact and IEEE addition commutes), the integrands act row by row, and each
-block's sums are taken over the whole block in row order.  So neither the
-slice size nor the number of threads changes the result.
+Each thread of a small pool (numpy releases the GIL in the fill and in the
+ufuncs) takes the next block from one shared range iterator, whose next()
+holds the GIL, so only one task per thread is queued.  A block is drawn from
+its own stream in slices of _SLICE rows, one after another, so the slices draw
+exactly the doubles of one whole-block draw; 2U - 1 equals uniform(-1, 1) bit
+for bit (2U is exact and IEEE addition commutes), the integrands act row by
+row, and each block's sums are taken over the whole block in row order.  So
+neither the slice size nor the number of threads changes the result.
 
 The integrands make a few full-length passes over a slice's columns.  The
 slab sum A = sum_k s_k t_k u_k is built one column triple at a time in place,
@@ -122,8 +123,17 @@ def _mc_blocks(samples: int, dims: int, seed: int, tag: int, f_of_block):
         f *= f  # in place: the bits of (f * f).sum()
         return total, float(f.sum())
 
-    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        sums, sqsums = zip(*pool.map(block_sums, range(-(-samples // _BLOCK))))
+    results = [None] * -(-samples // _BLOCK)
+    blocks = iter(range(len(results)))
+
+    def drain(_):
+        for block in blocks:
+            results[block] = block_sums(block)
+
+    workers = min(4, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(drain, range(workers)))  # list() re-raises a thread's error
+    sums, sqsums = zip(*results)
     mean = math.fsum(sums) / samples
     var = max(0.0, (math.fsum(sqsums) - samples * mean * mean) / (samples - 1))
     return mean, math.sqrt(var / samples)

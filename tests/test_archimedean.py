@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -215,6 +216,45 @@ class TestDeterminism:
             for cpus in (1, 2, 3, 4):
                 monkeypatch.setattr(os, "cpu_count", lambda: cpus)
                 assert _mc_blocks(samples, dims, 7, 262208, f) == expected
+
+    def test_queued_blocks_stay_within_twice_the_pool(self, monkeypatch):
+        # Executor.map submits every block before it yields a result, which
+        # at 10^10 samples would queue some 150,000 blocks
+        import concurrent.futures
+
+        queued = [0]
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                queued[0] = max(queued[0], self._work_queue.qsize())
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        mean, _ = _mc_blocks(64 * 4 * _BLOCK, 1, 0, 0, lambda pts: np.ones(len(pts)))
+        assert mean == 1.0
+        assert queued[0] <= 2 * 4
+
+    def test_each_block_is_drawn_once_under_fast_thread_switching(self, monkeypatch):
+        # the pool threads share one block iterator and one result list
+        rows = []
+
+        def f(pts):
+            rows.append(len(pts))
+            return np.abs(pts[:, 0])
+
+        samples = 40 * _BLOCK + 7
+        expected = self.one_uniform_per_block(samples, 1, 3, 17, f)
+        rows.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _mc_blocks(samples, 1, 3, 17, f) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(rows) == samples
 
     def test_no_thread_outlives_the_estimate(self):
         before = threading.active_count()

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from triprox import (
@@ -12,11 +13,71 @@ from triprox import (
 )
 from triprox import divisor_count, euler_phi
 from triprox.arith import prime_table
-from triprox.local_densities import _density_term, _sigma
+from triprox.local_densities import _densities
+
+from test_imports import run_fresh
 
 
 def pair_zero_scan(q):
     return sum(1 for a in range(q) for b in range(q) if (a * b) % q == 0)
+
+
+# The scalar formulas, one prime at a time, as the library first computed them.
+
+
+def oracle_term(p, n, t):
+    """Term of sigma_p at prime-power exponent t >= 1."""
+    r = 1.0 - 1.0 / p
+    return r * p ** (-n * t) * (1.0 + t * r) ** (n + 1)
+
+
+def oracle_sigma(p, n, t_max):
+    """(sigma_p, sigma_p') over t <= t_max, leaving at the first term that
+    no longer changes the float sum."""
+    s = 1.0
+    for t in range(1, t_max + 1):
+        term = oracle_term(p, n, t)
+        if s + term == s:
+            break
+        s += term
+    return s, (1.0 - p ** (-n)) ** 3 * s
+
+
+def oracle_tail(p, n, t_max):
+    """Bound on the terms beyond t_max: the majorant (1+t)^(n+1) * p^(-n t),
+    summed term by term until its ratio drops to 0.9, then geometrically."""
+    q = p ** (-n)
+    e = n + 1
+    total = 0.0
+    t = t_max + 1
+    while True:
+        g = (1.0 + t) ** e * p ** (-n * t)
+        ratio = ((t + 2.0) / (t + 1.0)) ** e * q
+        if ratio <= 0.9:
+            return total + g / (1.0 - ratio)
+        total += g
+        t += 1
+
+
+def oracle_euler_product(n, p_max, t_max):
+    """(value, tail) of euler_product, folded one prime at a time."""
+    primes = prime_table()
+    value, log_trunc = 1.0, 0.0
+    for p in primes:
+        if p > p_max:
+            break
+        s, s_prime = oracle_sigma(p, n, t_max)
+        value *= s_prime
+        log_trunc += oracle_tail(p, n, t_max) / s
+    p_cut, log_small = p_max, 0.0
+    for p in primes:
+        if p > p_max:
+            if p**n >= 2 ** (n + 2):
+                break
+            log_small += abs(math.log(oracle_sigma(p, n, t_max)[1])) + oracle_tail(p, n, t_max)
+            p_cut = p
+    log_prime_tail = log_small + (2 ** (n + 2) + 6) * p_cut ** (1 - n) / (n - 1)
+    return value, value * math.expm1(log_prime_tail + log_trunc)
 
 
 class TestExpSum:
@@ -121,13 +182,22 @@ class TestLocalDensity:
                 assert further.sigma_p <= res.sigma_p + res.tail_bound
 
     def test_early_exit_sum_is_the_all_t_sum_bit_for_bit(self):
-        for p in prime_table()[:1229]:  # every prime < 10^4
-            for n in (1, 2, 3, 5):
-                for t_max in (1, 2, 5, 40):
+        primes = prime_table()[:1229]  # every prime < 10^4
+        for n in (1, 2, 3, 5):
+            for t_max in (1, 2, 5, 40):
+                s, s_prime, _ = _densities(np.array(primes, float), n, t_max)
+                for p, got, got_prime in zip(primes, s.tolist(), s_prime.tolist()):
                     full = 1.0
                     for t in range(1, t_max + 1):
-                        full += _density_term(p, n, t)
-                    assert _sigma(p, n, t_max) == (full, (1.0 - p ** (-n)) ** 3 * full)
+                        full += oracle_term(p, n, t)
+                    expected = (full, (1.0 - p ** (-n)) ** 3 * full)
+                    assert oracle_sigma(p, n, t_max) == (got, got_prime) == expected
+
+    def test_array_helper_is_the_scalar_oracle_on_the_whole_table(self):
+        primes = prime_table()
+        s, s_prime, tail = _densities(np.array(primes, float), 2, 40)
+        got = list(zip(s.tolist(), s_prime.tolist(), tail.tolist()))
+        assert got == [(*oracle_sigma(p, 2, 40), oracle_tail(p, 2, 40)) for p in primes]
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -137,7 +207,35 @@ class TestLocalDensity:
 class TestEulerProduct:
     def test_single_factor(self):
         ep = euler_product(2, 2, 30)
-        assert ep.value == pytest.approx(local_density(2, 2, 30).sigma_p_prime)
+        assert ep.value == local_density(2, 2, 30).sigma_p_prime
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("t_max", [1, 40])
+    def test_value_is_the_product_of_local_densities(self, n, t_max):
+        value = 1.0
+        for p in (2, 3, 5, 7, 11, 13, 17, 19):
+            value *= local_density(p, n, t_max).sigma_p_prime
+        assert euler_product(n, 20, t_max).value == value
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("index", [4095, 4096, 8191])
+    def test_chunk_edges_fold_in_prime_order(self, n, index):
+        p_max = prime_table()[index]
+        ep = euler_product(n, p_max, 40)
+        assert (ep.value, ep.tail) == oracle_euler_product(n, p_max, 40)
+
+    def test_full_table_adds_little_to_peak_memory(self):
+        # the factors are formed a chunk of primes at a time, not for the
+        # whole table at once
+        code = ("import json, resource\n"
+                "from triprox.arith import prime_table\n"
+                "from triprox.local_densities import euler_product\n"
+                "prime_table()\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "euler_product(2, 10**6, 40)\n"
+                "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "print(json.dumps((after - before) / 1024))")
+        assert run_fresh(code) < 2.0
 
     def test_positive_and_finite(self):
         ep = euler_product(2, 200, 30)
