@@ -16,13 +16,12 @@ import json
 import math
 import sys
 import time
-from itertools import accumulate
 
 from . import __version__
 from .archimedean import sigma_infty_components  # noqa: F401 (not called; a perfbench trace boundary)
 from .arith import is_prime
 from .assembly import census, predicted_constant
-from .counting import NAMED_CONVENTIONS, _height_hist, count_points, mobius_count
+from .counting import NAMED_CONVENTIONS, count_at_bounds, count_points, mobius_count
 from .delta_method import KernelConfig, delta_series
 from .errors import BudgetExceededError, OverflowGuardError
 from .local_densities import local_density
@@ -148,13 +147,9 @@ def cmd_compare(args) -> int:
     if any(B < 2 for B in args.bounds):
         raise ValueError("compare requires bounds >= 2 (log(B)^2 vanishes at B = 1)")
     pred = predicted_constant(args.n, args.p_max, args.t_max, args.mc_samples, args.seed)
-    # On the FULL domain the count at B' <= B is the part of the count at B
-    # of height <= B', so one pass at the largest bound gives every N(B').
-    conv = NAMED_CONVENTIONS["primitive"]
-    cum = list(accumulate(_height_hist(args.n, max(args.bounds), conv, args.threads)))
+    counts = count_at_bounds(args.n, args.bounds, NAMED_CONVENTIONS["primitive"], args.threads)
     rows = []
-    for B in args.bounds:
-        count = cum[B]
+    for B, count in zip(args.bounds, counts):
         r = count / (B**args.n * math.log(B) ** 2)
         rows.append({"B": B, "count": count, "r": r, "predicted_C": pred.C})
         print(f"B={B:<8d} count={count:<16d} r=count/(B^n log^2 B)={r:.4f}  predicted C={pred.C:.4f}")

@@ -2,29 +2,32 @@
 
 Two independent implementations share one contract:
 
-* ``count_points`` -- the production path.  It iterates (x, y) grouped by
-  the pair (a, b) of exact max-coordinates, one pair block per unordered
-  pair of magnitudes m >= k.  The coefficient rows c_i = x_i * y_i of the
-  orders (m, k) and (k, m) are the same multiset, because p*q = q*p, and
-  they are permuted together with any permutation of the n+1 indices,
-  which the kernel count does not see.  So the side of larger maximum m is
-  reduced to one sorted representative per orbit of the index
-  permutations, weighted by the orbit size, and multiplied against every
-  vector of the smaller side; the z-kernel runs once per orbit-size group
-  (per row chunk of an outsized group).  The kernel solves for z_0 (any
-  nonzero coefficient will do, so rows are neither sorted nor
-  deduplicated), scans z_1 >= 1 only, and returns that half of the
-  solutions as a histogram by exact max|z|.  A domain acts only through
-  the z-cap of each order (``_in_domain`` is the one statement of the
-  domain-and-height rule), so the block runs once at the larger cap and
-  each order adds the prefix up to its own cap.  Primitivity of z enters
-  through a Mobius inversion of the histogram over the content of z, and
-  every sign through one weight: x, y and z are positive magnitude
-  vectors and z_1 >= 1, negation flips the sign-fix predicate, so each
-  block stands for 2^(2n+3) signed solutions, halved once per sign-fixed
-  vector.  Blocks are summed into one histogram by exact height
-  H = m*k*max|z| in Python ints: ``count_points`` returns its total, and
-  ``mobius_count`` reads all its inner counts off its prefix sums.
+* ``count_points`` -- the production path, by the domain split of the
+  circle method (Heath-Brown; Robbiani for biprojective space).  With a, b,
+  c the exact maxima of |x|, |y|, |z|, let E1, E2, E3 be the solutions of
+  height abc <= B whose pair (a, b), (b, c) or (c, a) lies in DXY, DYZ or
+  DZX: u^3 <= B and (uv)^3 <= B^2 for the pair (u, v).  The two smallest
+  maxima always form such a pair, so the sets cover every solution.  The
+  cyclic shift (x, y, z) -> (y, z, x) maps E1 onto E2 and E2 onto E3, and
+  keeps primitivity and the sign weight (a function of the number of
+  sign-fixed vectors).  So the sets, and their pairwise intersections, have
+  equal counts: N = 3|E1| - 3|E1 n E2| + |E1 n E2 n E3|, a sum over DXY
+  pairs (a, b) alone.  Each term admits a prefix of max|z| (``_in_domain``
+  is monotone in c): Z1 for DXY, Z12 = min(Z1, DYZ cap), Z123 = min(Z12,
+  DZX cap).  A domain convention counts |E1|.
+
+  One call streams the pair blocks (``_count_pair_block``) of its largest
+  bound, one per unordered pair of magnitudes (DXY and its caps shrink with
+  B).  Each runs once, at its largest cap, and each (bound, order) adds
+  3*cum[Z1] - 3*cum[Z12] + cum[Z123] of its prefix sums, in Python ints:
+  ``count_points`` passes one bound, ``count_at_bounds`` (``compare``)
+  several, ``mobius_count`` every floor(B/t) its Mobius sum reads.  With
+  threads > 1 one process pool gets the blocks, largest estimated cost
+  (rows x Z*(2Z)^(n-1) kernel cells) first to the least loaded worker; the
+  same estimate, summed, is the engine's budget.  Signs enter through one
+  weight: x, y and z are positive magnitude vectors and z_1 >= 1, negation
+  flips the sign-fix predicate, so each block stands for 2^(2n+3) signed
+  solutions, halved once per sign-fixed vector.
 
 * ``count_points_oracle`` -- a deliberately naive scan that enumerates signed
   coordinate tuples directly, tests the trilinear sum literally, and applies
@@ -41,7 +44,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import groupby
 
 import numpy as np
 
@@ -68,12 +71,11 @@ _ORACLE_OPS_BUDGET = 400_000_000
 # refuses n=3, B=300 (108M cells per row).
 _Z_GRID_BUDGET = 1 << 25
 
-# Largest bound the engine takes on.  The z-grid budget alone admits n=1 up
-# to B=2^25 (its grid is only Z cells) and any B below the int64 guard on
-# DZX (which caps z at B^(1/3)), where the ~B log B pair blocks put the count
-# out of reach.  2^16 admits every bound the z-grid budget admits on FULL for
-# n >= 2 (4096 at n=2).
-_BOUND_BUDGET = 1 << 16
+# Largest number of kernel cells, rows x Z*(2Z)^(n-1) summed over the pair
+# blocks of one count, that the engine takes on.  It admits the largest
+# golden bounds, n=2, B=1920 (2.7e9 cells) and n=3, B=192 (6.7e8), and
+# refuses n=2, B=3840 (1.9e10) and n=1 beyond B of about 2^17.
+_CELL_BUDGET = 1 << 32
 
 
 class Domain(Enum):
@@ -233,8 +235,8 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
 def _exact_max_vectors(n: int, a: int) -> np.ndarray:
     """All positive vectors in [1..a]^(n+1) with max coordinate exactly a:
     the box filtered to its shell.  Only the smaller side of a pair block
-    (a <= isqrt(B)) is built this way, so the box has at most B^((n+1)/2)
-    rows.
+    is built this way; DXY puts a^3 <= B on the first magnitude of a pair,
+    so a <= B^(1/3) and the box has at most B^((n+1)/3) rows.
     """
     box = _grid([np.arange(1, a + 1, dtype=np.int64)] * (n + 1))
     return box[box.max(axis=1) == a]
@@ -325,93 +327,93 @@ def _count_pair_block(
     return hist
 
 
-def _run_tasks(args: tuple) -> np.ndarray:
-    """Worker: histogram by exact height H = a*b*max|z| (H <= B), as exact
-    Python ints, of the solutions whose larger magnitude m = max(a, b) lies
-    in the worker's stripe of magnitudes.
+def _pair_blocks(n: int, B: int) -> list[tuple[int, int, int, int]]:
+    """The stream at the bound B: (cost, m, k, Z) per unordered k <= m with
+    (m, k) or (k, m) in DXY, Z the larger DXY z-cap of the two orders, cost
+    the kernel cells the block scans, rows x Z*(2Z)^(n-1), with C(m+n-1, n)
+    orbit representatives times k^(n+1) - (k-1)^(n+1) vectors as rows.  The
+    caps do not grow with m, so an empty block ends its row of k, and an
+    empty (k, k) the stream.  Refuses a per-row z-grid over budget (largest
+    at (1, 1)) and stops at the first partial sum over _CELL_BUDGET."""
+    _check_z_grid(n, _z_cap(B, 1, 1, Domain.DXY))
+    blocks, cells = [], 0
+    for k in range(1, B + 1):
+        for m in range(k, B // k + 1):
+            Z = max(_z_cap(B, a, b, Domain.DXY) for a, b in {(m, k), (k, m)})
+            if not Z:
+                break
+            cost = math.comb(m + n - 1, n) * (k ** (n + 1) - (k - 1) ** (n + 1)) * Z * (2 * Z) ** (n - 1)
+            cells += cost
+            if cells > _CELL_BUDGET:
+                raise BudgetExceededError(f"kernel cells at (n={n}, B={B}) exceed the {_CELL_BUDGET} budget")
+            blocks.append((cost, m, k, Z))
+        if m == k:
+            break
+    return blocks
 
-    Each m builds its orbit representatives once and runs one pair block per
-    smaller magnitude k <= min(m, B // m), shared by the orders (m, k) and
-    (k, m): their rows are the same because p*q = q*p, and their heights
-    are m*k*h.  The block runs at the larger z-cap of the two orders, and
-    each order adds the prefix up to its own cap: the histogram is by exact
-    max|z|, and the Mobius step commutes with truncation.  k*k <= m*k <= B,
-    so the smaller side's tables, kept for the whole stripe, number at most
-    isqrt(B).
 
-    Every block is weighted by 2^(2n+3-len(sf)): a block counts positive x
-    and y and the z with z_1 >= 1, negation flips each vector's sign-fix
-    predicate (``_first_max_positive``), and it preserves content and
-    max|z|, so a fixed x or y keeps 2^n of its 2^(n+1) signings, and a z
-    with z_1 >= 1 keeps 1 of its pair z, -z when fixed and stands for both
-    when not.
-    """
-    n, B, primitive, sf, domain, stripe = args
-    mu = mobius_sieve(B) if primitive else None
-    weight = 2 ** (2 * n + 3 - len(sf))
-    by_height = np.zeros(B + 1, dtype=object)
-    small = {}
-    for m in stripe:
-        blocks = []
-        for k in range(1, min(m, B // m) + 1):
-            caps = [_z_cap(B, a, b, domain) for a, b in {(m, k), (k, m)}]  # one order when k == m
-            if max(caps) >= 1:
-                blocks.append((k, caps))
-        if not blocks:
-            continue
+def _count_blocks(args: tuple) -> list[int]:
+    """Worker: per bound, the sum of coefficient x cum[z-cap] over the terms
+    of its blocks, cum the prefix sums of a block's half-histogram by max|z|
+    (a prefix is exact: the primitive Mobius step commutes with truncation).
+    The blocks come sorted by m, so each m builds its orbits once."""
+    n, primitive, nbounds, blocks = args
+    mu = mobius_sieve(max(block[2] for block in blocks)) if primitive else None
+    totals = [0] * nbounds
+    shells = {}
+    for m, same_m in groupby(blocks, key=lambda block: block[0]):
         groups = _orbit_groups(n, m, primitive)
-        for k, caps in blocks:
-            if k not in small:
+        for _, k, Z, terms in same_m:
+            if k not in shells:
                 Q = _exact_max_vectors(n, k)
-                small[k] = Q[_primitive_mask(Q)] if primitive else Q
-            block = _count_pair_block(groups, small[k], max(caps), mu)[1:].astype(object)
-            mk = m * k
-            for Z in caps:
-                by_height[mk : mk * Z + 1 : mk] += weight * block[:Z]
-    return by_height
+                shells[k] = Q[_primitive_mask(Q)] if primitive else Q
+            cum = np.cumsum(_count_pair_block(groups, shells[k], Z, mu)).tolist()
+            for i, coef, z in terms:
+                totals[i] += coef * cum[z]
+    return totals
 
 
-def _height_hist(n: int, B: int, conv: CountingConvention, threads: int) -> np.ndarray:
-    """Counts by exact height H = 0..B of the solutions selected by ``conv``,
-    as an object array of Python ints.
-
-    Work is partitioned by the larger magnitude m = max(max|x|, max|y|):
-    worker i of at most ``threads`` (one when threads <= 1) takes
-    m = i+1, i+1+threads, ...  The workers' histograms are reduced by exact
-    integer summation, so the result does not depend on ``threads``.
-    """
-    check_dim(n)
-    _validate_bound(B)
-    if B > _BOUND_BUDGET:
-        raise BudgetExceededError(f"bound {B} exceeds the counting engine's budget of {_BOUND_BUDGET}")
-    if not isinstance(conv, CountingConvention):
-        raise ValueError("conv must be a CountingConvention")
-    # The (1, 1) block has the largest z-cap of all.
-    _check_z_grid(n, _z_cap(B, 1, 1, conv.domain))
-
-    threads = max(1, min(threads, B))
-    payloads = [
-        (n, B, conv.primitive, conv.sign_fix, conv.domain, range(i + 1, B + 1, threads))
-        for i in range(threads)
-    ]
-    if threads == 1:
-        return _run_tasks(payloads[0])
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(_run_tasks, payloads))
-
-
-def count_points(
-    n: int,
-    B: int,
-    conv: CountingConvention,
-    threads: int = 1,
-) -> ExactCount:
-    """Exact cardinality of the solution set selected by ``conv``.
-
-    Deterministic for fixed (n, B, conv): the result does not depend on
+def count_at_bounds(n: int, bounds: list[int], conv: CountingConvention, threads: int = 1) -> list[int]:
+    """Exact cardinalities of the solution sets selected by ``conv`` at each
+    of ``bounds``, from one stream of pair blocks.  The workers' exact
+    totals are summed in worker order: the result does not depend on
     ``threads``.
     """
-    return ExactCount(int(_height_hist(n, B, conv, threads).sum()))
+    check_dim(n)
+    for B in bounds:
+        _validate_bound(B)
+    if not isinstance(conv, CountingConvention):
+        raise ValueError("conv must be a CountingConvention")
+    blocks = _pair_blocks(n, max(bounds))
+    threads = max(1, min(threads, len(blocks)))
+    shares, loads = [[] for _ in range(threads)], [0] * threads
+    for cost, m, k, Z in sorted(blocks, key=lambda block: (-block[0], block[1:])):
+        terms = []  # (bound index, coefficient, z-cap), as in the module docstring
+        for i, B in enumerate(bounds):
+            for a, b in {(m, k), (k, m)}:
+                z1 = _z_cap(B, a, b, Domain.DXY)
+                if z1 and conv.domain is Domain.FULL:
+                    z12 = min(z1, _z_cap(B, a, b, Domain.DYZ))
+                    terms += [(i, 3, z1), (i, -3, z12), (i, 1, min(z12, _z_cap(B, a, b, Domain.DZX)))]
+                else:
+                    terms.append((i, 1, z1))
+        i = loads.index(min(loads))
+        loads[i] += cost
+        shares[i].append((m, k, Z, terms))
+    payloads = [(n, conv.primitive, len(bounds), sorted(share)) for share in shares]
+    if threads == 1:
+        parts = [_count_blocks(payloads[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_count_blocks, payloads))
+    weight = 2 ** (2 * n + 3 - len(conv.sign_fix))
+    return [weight * sum(totals) for totals in zip(*parts)]
+
+
+def count_points(n: int, B: int, conv: CountingConvention, threads: int = 1) -> ExactCount:
+    """Exact cardinality of the solution set selected by ``conv``, independent
+    of ``threads``."""
+    return ExactCount(count_at_bounds(n, [B], conv, threads)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +439,17 @@ def mobius_count(n: int, B: int, sign_fix=frozenset(), threads: int = 1) -> int:
     """Primitive count reconstructed by the triple Mobius sum
     sum_{k,l,m} mu(k)mu(l)mu(m) * count(H*klm <= B), FULL domain.
 
-    Heights are integers, so the inner threshold is H <= floor(B/(klm)).  One
-    pass histograms the non-primitive solutions (with the given sign_fix) by
-    exact height up to B; every inner count is a prefix sum of it.
+    Heights are integers, so it is sum_t g(t) * N(floor(B/t)) over the
+    non-primitive counts N (with the given sign_fix), all from one stream.
     """
-    conv = CountingConvention(False, frozenset(sign_fix), Domain.FULL)
-    cum = list(accumulate(_height_hist(n, B, conv, threads)))
+    check_dim(n)
+    _validate_bound(B)
+    _pair_blocks(n, B)  # the budget refuses before the O(B) table of g is built
     g = _mu_triple_dirichlet(B)
-    return sum(int(g[t]) * cum[B // t] for t in range(1, B + 1) if g[t])
+    bounds = sorted({B // t for t in range(1, B + 1) if g[t]})
+    conv = CountingConvention(False, frozenset(sign_fix), Domain.FULL)
+    counts = dict(zip(bounds, count_at_bounds(n, bounds, conv, threads)))
+    return sum(int(g[t]) * counts[B // t] for t in range(1, B + 1) if g[t])
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,10 @@ class TestCount:
     @pytest.mark.parametrize("argv", [
         ["count", "--n", "1", "--bound", "33554432"],
         ["count", "--n", "2", "--bound", "100000000", "--convention", "E3"],
+        # within the per-row z-grid budget, over the cells summed over blocks
+        ["count", "--n", "2", "--bound", "3840"],
+        # refused before the O(B) Mobius table is built
+        ["count", "--n", "1", "--bound", "33554432", "--convention", "mobius"],
     ])
     def test_bound_budget_exit(self, argv):
         start = time.perf_counter()
@@ -272,17 +276,17 @@ class TestPredictAndCompare:
 
     def test_compare_makes_one_counting_pass(self, tmp_path, monkeypatch):
         calls = []
-        real = cli._height_hist
+        real = cli.count_at_bounds
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_height_hist", counting)
+        monkeypatch.setattr(cli, "count_at_bounds", counting)
         store = tmp_path / "runs.jsonl"
         assert main(["compare", "--n", "2", "--bounds", "12,24", "--p-max", "30", "--t-max", "15",
                      "--mc-samples", "20000", "--out", str(store)]) == EXIT_OK
-        assert len(calls) == 1
+        assert [args[1] for args in calls] == [[12, 24]]
         conv = NAMED_CONVENTIONS["primitive"]
         rows = read_jsonl(store)[0]["rows"]
         assert [(row["B"], row["count"]) for row in rows] == [

@@ -23,12 +23,12 @@ from triprox.counting import (
     _count_pair_block,
     _exact_max_vectors,
     _first_max_positive,
-    _height_hist,
     _in_domain,
     _kernel_rows,
     _orbit_groups,
     _primitive_mask,
     _z_cap,
+    count_at_bounds,
 )
 
 ALL = NAMED_CONVENTIONS["all"]
@@ -247,12 +247,12 @@ class TestCountPoints:
         with pytest.raises(ValueError):
             count_points(2, 0, ALL)
 
-    @pytest.mark.parametrize("name", ["all", "primitive-signfixed", "E"])
-    def test_height_split_gives_every_smaller_bound(self, name):
+    @pytest.mark.parametrize("name", ["all", "primitive-signfixed", "E", "E2"])
+    def test_one_stream_gives_every_smaller_bound(self, name):
+        # the blocks and z-caps of B=12 serve every smaller bound
         conv = NAMED_CONVENTIONS[name]
-        cum = list(itertools.accumulate(_height_hist(2, 12, conv, threads=1)))
-        assert cum[12] == count_points(2, 12, conv).count
-        assert cum[1:12] == [count_points(2, B, conv).count for B in range(1, 12)]
+        counts = count_at_bounds(2, [12, *range(1, 12)], conv, threads=1)
+        assert counts == [count_points(2, B, conv).count for B in (12, *range(1, 12))]
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_nonpositive_threads_run_single_worker(self, threads):
@@ -270,14 +270,41 @@ class TestCountPoints:
 
         monkeypatch.setattr("triprox.counting._count_pair_block", counted)
         count_points(2, 240, NAMED_CONVENTIONS[name], threads=1)
-        # #{(m, k) : k <= m, m*k <= 240}; every such pair has a nonzero z-cap
-        assert len(calls) == 689
+
+        def in_dxy(a, b):
+            return a * b <= 240 and a**3 <= 240 and (a * b) ** 3 <= 240**2
+
+        blocks = [(m, k) for m in range(1, 241) for k in range(1, m + 1) if in_dxy(m, k) or in_dxy(k, m)]
+        assert len(calls) == len(blocks) > 0
 
     def test_thread_count_invariance(self):
         conv = NAMED_CONVENTIONS["primitive"]
         single = count_points(2, 12, conv, threads=1).count
         multi = count_points(2, 12, conv, threads=2).count
         assert single == multi
+
+
+class TestGoldenCounts:
+    """The primitive counts N(B) of the north-star table in ROADMAP.md, which
+    the former FULL pass over every pair with ab <= B also gave."""
+
+    GOLDEN = {
+        (2, 60): 17152128,
+        (2, 120): 104027904,
+        (2, 240): 602319744,
+        (2, 480): 3373746048,
+        (3, 24): 435242496,
+        (3, 48): 5833489920,
+    }
+
+    @pytest.mark.parametrize("n, B", list(GOLDEN))
+    def test_primitive_count(self, n, B):
+        assert count_points(n, B, NAMED_CONVENTIONS["primitive"]).count == self.GOLDEN[n, B]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mobius_n3(self, threads):
+        # the benchmark's mobius-n3 answer, which equals count_points(3, 30, primitive)
+        assert mobius_count(3, 30, threads=threads) == 950859264
 
 
 class TestOracleEquivalence:

@@ -52,13 +52,21 @@ def test_only_delta_loads_scipy(argv, loads_scipy):
 
 
 def test_count_worker_imports_nothing():
-    # _run_tasks is what a forked count worker runs; a module it imports
+    # _count_blocks is what a forked count worker runs; a module it imports
     # lazily (numpy.ma behind np.unique, say) is paid again by every worker.
+    # The payloads come from the planner, with the worker stubbed out.
     code = ("import json, sys, triprox.cli\n"
-            "from triprox.counting import NAMED_CONVENTIONS, _run_tasks\n"
+            "import triprox.counting as counting\n"
+            "from triprox.counting import NAMED_CONVENTIONS, count_points, mobius_count\n"
+            "worker, payloads = counting._count_blocks, []\n"
+            "counting._count_blocks = lambda p: payloads.append(p) or [0] * p[2]\n"
+            "count_points(3, 30, NAMED_CONVENTIONS['primitive'])\n"
+            "count_points(3, 30, NAMED_CONVENTIONS['E3'])\n"
+            "mobius_count(3, 30)\n"
             "before = set(sys.modules)\n"
-            "for name in ('primitive', 'E1', 'E3'):\n"
-            "    c = NAMED_CONVENTIONS[name]\n"
-            "    _run_tasks((3, 30, c.primitive, c.sign_fix, c.domain, range(1, 31)))\n"
-            "print(json.dumps(sorted(set(sys.modules) - before)))")
-    assert run_fresh(code) == []
+            "for p in payloads:\n"
+            "    worker(p)\n"
+            "print(json.dumps([[p[2] for p in payloads], sorted(set(sys.modules) - before)]))")
+    nbounds, imported = run_fresh(code)
+    assert nbounds[:2] == [1, 1] and nbounds[2] > 1
+    assert imported == []
