@@ -71,17 +71,24 @@ def _parse_l_range(text: str) -> tuple[int, int]:
 
 
 def cmd_count(args) -> int:
-    for B in args.bound:
+    # One counting pass for all the bounds (one per bound for mobius); every
+    # record of a pass carries its elapsed_ms.  A single bound goes through
+    # count_points, the counting pass that perfbench traces.
+    conv = NAMED_CONVENTIONS.get(args.convention)  # None for mobius
+    for bounds in [[B] for B in args.bound] if conv is None else [args.bound]:
         t0 = time.perf_counter()
-        if args.convention == "mobius":
-            value = mobius_count(args.n, B, frozenset(), threads=args.threads)
+        if conv is None:
+            values = [mobius_count(args.n, bounds[0], frozenset(), threads=args.threads)]
+        elif len(bounds) == 1:
+            values = [count_points(args.n, bounds[0], conv, threads=args.threads).count]
         else:
-            value = count_points(args.n, B, NAMED_CONVENTIONS[args.convention], threads=args.threads).count
+            values = count_at_bounds(args.n, bounds, conv, threads=args.threads)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        _append_record(args.out, "count",
-                       {"n": args.n, "B": B, "convention": args.convention},
-                       {"count": value, "elapsed_ms": round(elapsed_ms, 3)})
-        print(f"count n={args.n} B={B} convention={args.convention}: {value}  ({elapsed_ms:.1f} ms)")
+        for B, value in zip(bounds, values):
+            _append_record(args.out, "count",
+                           {"n": args.n, "B": B, "convention": args.convention},
+                           {"count": value, "elapsed_ms": round(elapsed_ms, 3)})
+            print(f"count n={args.n} B={B} convention={args.convention}: {value}  ({elapsed_ms:.1f} ms)")
     return EXIT_OK
 
 

@@ -29,6 +29,17 @@ Two independent implementations share one contract:
   flips the sign-fix predicate, so each block stands for 2^(2n+3) signed
   solutions, halved once per sign-fixed vector.
 
+  A block's coefficient rows x_i*y_i repeat, within the block and across
+  blocks.  A worker scans each row once in its canonical form, entries
+  sorted and then divided by their gcd, which has the same half-histogram:
+  c and c/g have the same solutions z, a permutation of c permutes the
+  coordinates of each z, and z -> -z splits the solutions of each height
+  evenly by the sign of any one coordinate.  The worker takes its blocks by
+  decreasing cap and keeps a table of the rows it has scanned: the first
+  block that holds a row scans it, at the largest cap any of its blocks
+  reads, and the others read a prefix of its histogram.  At n=2, B=120 the
+  blocks hold 6,498 rows and the kernel scans 2,106.
+
 * ``count_points_oracle`` -- a deliberately naive scan that enumerates signed
   coordinate tuples directly, tests the trilinear sum literally, and applies
   every predicate (height, domain, primitivity, sign-fix) per tuple.
@@ -44,7 +55,6 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 
 import numpy as np
 
@@ -72,7 +82,9 @@ _ORACLE_OPS_BUDGET = 400_000_000
 _Z_GRID_BUDGET = 1 << 25
 
 # Largest number of kernel cells, rows x Z*(2Z)^(n-1) summed over the pair
-# blocks of one count, that the engine takes on.  It admits the largest
+# blocks of one count, that the engine takes on.  The rows are counted
+# before a worker scans each canonical row once, so the sum is an upper
+# bound on the cells scanned (2.4x at n=2, B=120).  It admits the largest
 # golden bounds, n=2, B=1920 (2.7e9 cells) and n=3, B=192 (6.7e8), and
 # refuses n=2, B=3840 (1.9e10) and n=1 beyond B of about 2^17.
 _CELL_BUDGET = 1 << 32
@@ -128,7 +140,12 @@ def _in_domain(B: int, a: int, b: int, c, domain: Domain):
     ok = a * b * c <= B
     if domain is Domain.FULL:
         return ok
-    u, v = {Domain.DXY: (a, b), Domain.DYZ: (b, c), Domain.DZX: (c, a)}[domain]
+    if domain is Domain.DXY:
+        u, v = a, b
+    elif domain is Domain.DYZ:
+        u, v = b, c
+    else:
+        u, v = c, a
     return ok & ((u * v) ** 3 <= B * B) & (u**3 <= B)
 
 
@@ -182,35 +199,38 @@ def _grid(ranges: list[np.ndarray]) -> np.ndarray:
 
 
 def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
-    """Histogram of half the z-solutions by exact height, summed over the
-    rows of C.
+    """Histograms of half the z-solutions of each row of C by exact height.
 
-    hist[h] = #{(r, z) : 1 <= z_1 <= Z, 1 <= |z_i| <= Z, max_i |z_i| = h,
-    sum_i C[r,i]*z_i = 0} for h = 0..Z (hist[0] = 0).  z -> -z pairs every
-    solution with one of the same max|z| and the opposite sign of z_1, so
-    the full count is twice this; the caller's sign weight carries the 2.
-    C must have positive entries, in any order: the kernel solves for column
-    0, enumerating the other n coordinates and accepting a cell when C[r,0]
+    hist[r, h] = #{z : 1 <= z_1 <= Z, 1 <= |z_i| <= Z, max_i |z_i| = h,
+    sum_i C[r,i]*z_i = 0} for h = 0..Z (hist[:, 0] = 0), shape (rows, Z+1).
+    z -> -z pairs every solution with one of the same max|z| and the
+    opposite sign of z_1, so the full count is twice this; the caller's sign
+    weight carries the 2.  A count at h does not depend on Z, so a row's
+    histogram at a smaller cap is a prefix of this one.  C must have
+    positive entries, in any order: the kernel solves for column 0,
+    enumerating the other n coordinates and accepting a cell when C[r,0]
     divides the partial sum with a quotient in [-Z,-1] u [1,Z].  The
     remainder and the range test are taken once per cell; the quotient and
     max|z| only on the sparse accepted cells.
 
     The grid is built in pieces of consecutive z_1 values, each of at most
-    _CELL_CHUNK cells (one z_1 value when (2Z)^(n-1) alone is larger), so
-    memory does not grow with Z*(2Z)^(n-1).
+    _CELL_CHUNK cells (one z_1 value when (2Z)^(n-1) alone is larger), and
+    the rows are taken in chunks, so no array but the result grows with
+    Z*(2Z)^(n-1) or with the number of rows.
     """
-    hist = np.zeros(Z + 1, dtype=np.int64)
+    hist = np.zeros((len(C), Z + 1), dtype=np.int64)
     if Z < 1 or len(C) == 0:
         return hist
     n = C.shape[1] - 1
     rest = [_signed_range(Z)] * (n - 1)
     z1_chunk = max(1, _CELL_CHUNK // (2 * Z) ** (n - 1))
+    flat = hist.reshape(-1)
     for z1 in range(1, Z + 1, z1_chunk):
         grid = _grid([np.arange(z1, min(z1 + z1_chunk, Z + 1), dtype=np.int64)] + rest)
         gmax = grid[:, 0].copy()
         for j in range(1, n):
             np.maximum(gmax, np.abs(grid[:, j]), out=gmax)
-        row_chunk = max(1, _CELL_CHUNK // len(grid))
+        row_chunk = max(1, _CELL_CHUNK // max(len(grid), Z + 1))
         for lo in range(0, len(C), row_chunk):
             Cc = C[lo : lo + row_chunk]
             s = np.multiply.outer(Cc[:, 1], grid[:, 0])
@@ -223,7 +243,10 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
             hit &= s >= -Z * c0
             r, g = np.nonzero(hit)
             q = np.abs(s[r, g]) // Cc[r, 0]
-            hist += np.bincount(np.maximum(q, gmax[g]), minlength=Z + 1)
+            cells = len(Cc) * (Z + 1)
+            flat[lo * (Z + 1) : lo * (Z + 1) + cells] += np.bincount(
+                r * (Z + 1) + np.maximum(q, gmax[g]), minlength=cells
+            )
     return hist
 
 
@@ -247,10 +270,10 @@ def _primitive_mask(V: np.ndarray) -> np.ndarray:
     return np.gcd.reduce(np.abs(V), axis=1) == 1
 
 
-def _orbit_groups(n: int, m: int, primitive: bool) -> list[tuple[int, np.ndarray]]:
+def _orbits(n: int, m: int, primitive: bool) -> tuple[np.ndarray, np.ndarray]:
     """One representative per S_(n+1)-orbit of the positive vectors with max
-    coordinate exactly m (gcd 1 only, with ``primitive``), grouped by orbit
-    size: a list of (orbit size, representatives).
+    coordinate exactly m (gcd 1 only, with ``primitive``), and the orbit
+    sizes: (representatives, sizes).
 
     The representatives are the nondecreasing vectors ending in m, built one
     coordinate at a time: a row with last entry v extends by v..m.  A sorted
@@ -272,10 +295,7 @@ def _orbit_groups(n: int, m: int, primitive: bool) -> list[tuple[int, np.ndarray
     for j in range(1, n + 1):
         run = np.where(reps[:, j] == reps[:, j - 1], run + 1, 1)
         stab *= run
-    orbit = math.factorial(n + 1) // stab
-    # Not np.unique: it imports numpy.ma on first use, which every freshly
-    # forked count worker would pay again.
-    return [(w, reps[orbit == w]) for w in sorted(set(orbit.tolist()))]
+    return reps, math.factorial(n + 1) // stab
 
 
 def _z_cap(B: int, a: int, b: int, domain: Domain) -> int:
@@ -284,11 +304,69 @@ def _z_cap(B: int, a: int, b: int, domain: Domain) -> int:
     return bisect_left(range(1, B // (a * b) + 1), True, key=lambda c: not _in_domain(B, a, b, c, domain))
 
 
+def _merged(old: np.ndarray, held: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``old`` in order at the places ``held`` marks, ``new`` at ``at``."""
+    out = np.empty(len(held), dtype=np.int64)
+    out[held] = old
+    out[at] = new
+    return out
+
+
+class _RowTable:
+    """A worker's half-histograms by canonical row (``_count_pair_block``).
+
+    A canonical row is packed into one int64, its entries the digits of a
+    number in base ``base``, above every entry.  ``keys`` holds the packed
+    rows in increasing order, ending in a sentinel above every key, and
+    ``start`` the offset of each row's histogram in ``flat``.  A histogram
+    runs to the cap it was scanned at; ``flat`` doubles when it is full.
+    Its counts fit int32: a row has at most Z*(2Z)^(n-1) cells, within the
+    z-grid budget.
+    """
+
+    def __init__(self, n: int, base: int):
+        self.base = base
+        self.digits = base ** np.arange(n, -1, -1, dtype=np.int64)
+        self.keys = np.array([np.iinfo(np.int64).max])
+        self.start = np.zeros(1, dtype=np.int64)
+        self.flat = np.zeros(0, dtype=np.int32)
+        self.used = 0
+
+    def add(self, pos: np.ndarray, keys: np.ndarray, hists: np.ndarray) -> None:
+        """Insert the sorted new ``keys`` before the entries at ``pos``, with
+        their histograms, one per row of ``hists``."""
+        end = self.used + hists.size
+        if end > len(self.flat):
+            grown = np.empty(max(end, 2 * len(self.flat)), dtype=np.int32)
+            grown[: self.used] = self.flat[: self.used]
+            self.flat = grown
+        self.flat[self.used : end] = hists.reshape(-1)
+        # np.insert by hand, a third of its cost on these short arrays: the
+        # new rows land at ``at``, the held ones keep their order around them
+        at = pos + np.arange(len(keys))
+        held = np.ones(len(self.keys) + len(keys), dtype=bool)
+        held[at] = False
+        self.keys = _merged(self.keys, held, at, keys)
+        self.start = _merged(self.start, held, at, self.used + hists.shape[1] * np.arange(len(keys)))
+        self.used = end
+
+    def hist(self, keys: np.ndarray, weights: np.ndarray, Z: int) -> np.ndarray:
+        """Sum of weight x histogram up to Z over the held ``keys``."""
+        start = self.start[np.searchsorted(self.keys, keys)]
+        hist = np.zeros(Z + 1, dtype=np.int64)
+        chunk = max(1, _CELL_CHUNK // (Z + 1))
+        for lo in range(0, len(keys), chunk):
+            rows = self.flat[start[lo : lo + chunk, None] + np.arange(Z + 1)]
+            hist += (weights[lo : lo + chunk, None] * rows).sum(axis=0)
+        return hist
+
+
 def _count_pair_block(
-    groups: list[tuple[int, np.ndarray]],
+    orbits: tuple[np.ndarray, np.ndarray],
     Q: np.ndarray,
     Z: int,
     mu: np.ndarray | None,
+    table: _RowTable,
 ) -> np.ndarray:
     """Inner-z counts over all positive magnitude pairs of a pair block, as
     a histogram by exact max|z| (length Z+1) of the z with z_1 >= 1, the
@@ -297,28 +375,51 @@ def _count_pair_block(
     The block with maxima (a, b) has the coefficient rows p*q (entrywise)
     for p, q of exact max a, b.  Write m = max(a, b) and k = min(a, b):
     since p*q = q*p, the rows are those of the exact-max-m vectors times the
-    exact-max-k vectors Q.  ``groups`` holds the exact-max-m vectors reduced
+    exact-max-k vectors Q.  ``orbits`` holds the exact-max-m vectors reduced
     to one sorted representative r per orbit of the permutations s of the
-    n+1 coordinates, with the orbit size (``_orbit_groups``).  s(r)*q =
+    n+1 coordinates, with the orbit sizes (``_orbits``).  s(r)*q =
     s(r * s^-1(q)), Q is closed under permutation, and the kernel count is
     invariant under permuting coordinates, so the orbit of r contributes its
     size times the kernel histogram of the rows r*Q.  Primitivity (the gcd
     filter on both sides) is permutation invariant too.
+
+    Each row enters in canonical form: entries sorted, then divided by their
+    gcd.  Neither step moves its half-histogram.  A row c and c/g have the
+    same solutions z, and permuting c permutes the coordinates of each z,
+    keeping max|z|.  The half is the z with a positive first enumerated
+    coordinate; z -> -z pairs the solutions of one height and every
+    coordinate is nonzero, so that half is exactly half of them in any
+    column order.  Rows with one canonical form are scanned once, with
+    their orbit sizes summed.  ``table`` holds the rows that blocks taken
+    before this one have scanned, at caps of at least Z (the worker takes
+    its blocks by decreasing cap); this block scans the rest with one
+    ``_kernel_rows`` call at Z, adds them to the table, and reads every row
+    from it.
 
     With the Mobius table ``mu`` (primitive conventions), the histogram
     counts primitive z only: every z of max h is d*z' for its content d and
     a primitive z' of max h/d with the same sign of z_1, so the primitive
     histogram is the Mobius inversion over d of the half one.
     """
+    R, sizes = orbits
     n1 = Q.shape[1]
-    hist = np.zeros(Z + 1, dtype=np.int64)
+    keys = []
     r_chunk = max(1, _CELL_CHUNK // max(len(Q) * n1, 1))
-    for weight, R in groups:
-        part = np.zeros(Z + 1, dtype=np.int64)
-        for lo in range(0, len(R), r_chunk):
-            C = (R[lo : lo + r_chunk, None, :] * Q[None, :, :]).reshape(-1, n1)
-            part += _kernel_rows(C, Z)
-        hist += weight * part
+    # Stable sorts and no matmul: numpy's default int64 sorts and its integer
+    # matmul would load about 0.4 MB more code into every count process.
+    for lo in range(0, len(R), r_chunk):
+        C = np.sort((R[lo : lo + r_chunk, None, :] * Q[None, :, :]).reshape(-1, n1), axis=1, kind="stable")
+        C //= np.gcd.reduce(C, axis=1, keepdims=True)
+        keys.append((C * table.digits).sum(axis=1))
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    key, weight = key[first], np.add.reduceat(np.repeat(sizes, len(Q))[order], first)
+    pos = np.searchsorted(table.keys, key)
+    own = table.keys[pos] != key
+    table.add(pos[own], key[own], _kernel_rows(key[own, None] // table.digits % table.base, Z))
+    hist = table.hist(key, weight, Z)
     if mu is not None:
         prim = np.zeros_like(hist)
         for d in np.flatnonzero(mu[1 : Z + 1]) + 1:
@@ -330,8 +431,10 @@ def _count_pair_block(
 def _pair_blocks(n: int, B: int) -> list[tuple[int, int, int, int]]:
     """The stream at the bound B: (cost, m, k, Z) per unordered k <= m with
     (m, k) or (k, m) in DXY, Z the larger DXY z-cap of the two orders, cost
-    the kernel cells the block scans, rows x Z*(2Z)^(n-1), with C(m+n-1, n)
-    orbit representatives times k^(n+1) - (k-1)^(n+1) vectors as rows.  The
+    the kernel cells of the block's rows, rows x Z*(2Z)^(n-1), with
+    C(m+n-1, n) orbit representatives times k^(n+1) - (k-1)^(n+1) vectors
+    as rows.  A worker scans only the canonical rows no earlier block of its
+    share holds, so the cost is an upper bound, fixed before dealing.  The
     caps do not grow with m, so an empty block ends its row of k, and an
     empty (k, k) the stream.  Refuses a per-row z-grid over budget (largest
     at (1, 1)) and stops at the first partial sum over _CELL_BUDGET."""
@@ -356,20 +459,26 @@ def _count_blocks(args: tuple) -> list[int]:
     """Worker: per bound, the sum of coefficient x cum[z-cap] over the terms
     of its blocks, cum the prefix sums of a block's half-histogram by max|z|
     (a prefix is exact: the primitive Mobius step commutes with truncation).
-    The blocks come sorted by m, so each m builds its orbits once."""
+    The blocks are taken by decreasing cap, so the first block that holds a
+    canonical row scans it at the largest cap any of them reads.  The table
+    packs rows in base max(m*k) + 1 <= 2B, since m*k <= B bounds every entry
+    of a block's rows.  The z-grid check at (1, 1), where Z = B, bounds
+    2^(n-1)*B^n by 2^25, so a packed row stays below (2B)^(n+1) <= 2^27*B
+    <= 2^52, well inside int64."""
     n, primitive, nbounds, blocks = args
     mu = mobius_sieve(max(block[2] for block in blocks)) if primitive else None
     totals = [0] * nbounds
-    shells = {}
-    for m, same_m in groupby(blocks, key=lambda block: block[0]):
-        groups = _orbit_groups(n, m, primitive)
-        for _, k, Z, terms in same_m:
-            if k not in shells:
-                Q = _exact_max_vectors(n, k)
-                shells[k] = Q[_primitive_mask(Q)] if primitive else Q
-            cum = np.cumsum(_count_pair_block(groups, shells[k], Z, mu)).tolist()
-            for i, coef, z in terms:
-                totals[i] += coef * cum[z]
+    orbits, shells = {}, {}
+    table = _RowTable(n, max(m * k for m, k, _, _ in blocks) + 1)
+    for m, k, Z, terms in sorted(blocks, key=lambda block: -block[2]):
+        if m not in orbits:
+            orbits[m] = _orbits(n, m, primitive)
+        if k not in shells:
+            Q = _exact_max_vectors(n, k)
+            shells[k] = Q[_primitive_mask(Q)] if primitive else Q
+        cum = np.cumsum(_count_pair_block(orbits[m], shells[k], Z, mu, table)).tolist()
+        for i, coef, z in terms:
+            totals[i] += coef * cum[z]
     return totals
 
 

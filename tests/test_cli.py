@@ -48,6 +48,33 @@ class TestCount:
             assert list(rec)[:7] == ["kind", "n", "B", "convention", "count", "elapsed_ms", "version"]
             assert rec["kind"] == "count" and rec["B"] == B and rec["n"] == 2
 
+    def test_several_bounds_make_one_counting_pass(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.count_at_bounds
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "count_at_bounds", counting)
+        store = tmp_path / "runs.jsonl"
+        assert main(["count", "--n", "2", "--bound", "12,6,24", "--convention", "E2",
+                     "--out", str(store)]) == EXIT_OK
+        assert [args[1] for args in calls] == [[12, 6, 24]]
+        records = read_jsonl(store)
+        conv = NAMED_CONVENTIONS["E2"]
+        assert [(rec["B"], rec["count"]) for rec in records] == [
+            (B, count_points(2, B, conv).count) for B in (12, 6, 24)]
+        assert len({rec["elapsed_ms"] for rec in records}) == 1
+
+    def test_mobius_counts_each_bound_on_its_own(self, tmp_path):
+        store = tmp_path / "runs.jsonl"
+        assert main(["count", "--n", "2", "--bound", "20,25", "--convention", "mobius",
+                     "--out", str(store)]) == EXIT_OK
+        conv = NAMED_CONVENTIONS["primitive"]
+        assert [(rec["B"], rec["count"]) for rec in read_jsonl(store)] == [
+            (B, count_points(2, B, conv).count) for B in (20, 25)]
+
     def test_store_append_only(self, tmp_path):
         store = tmp_path / "runs.jsonl"
         main(["count", "--n", "1", "--bound", "2", "--out", str(store)])

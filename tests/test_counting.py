@@ -25,8 +25,9 @@ from triprox.counting import (
     _first_max_positive,
     _in_domain,
     _kernel_rows,
-    _orbit_groups,
+    _orbits,
     _primitive_mask,
+    _RowTable,
     _z_cap,
     count_at_bounds,
 )
@@ -158,9 +159,28 @@ class TestKernelHistogram:
         # rows whose largest coefficient is not in the solved column 0
         C[:4, 0] = 1
         C[:4, 1] = 8
-        hist = 2 * _kernel_rows(C, Z)
+        hist = 2 * _kernel_rows(C, Z).sum(axis=0)
         assert hist.tolist() == self.naive_hist(C.tolist(), Z)
         assert hist.sum() > 0
+
+    @pytest.mark.parametrize("n, Z", [(1, 6), (2, 4), (3, 3)])
+    def test_each_row_is_its_literal_scan(self, n, Z):
+        rng = np.random.default_rng(20 + n)
+        C = rng.integers(1, 9, size=(6, n + 1))
+        hist = 2 * _kernel_rows(C, Z)
+        assert hist.shape == (len(C), Z + 1)
+        for row, c in zip(hist.tolist(), C.tolist()):
+            assert row == self.naive_hist([c], Z)
+
+    @pytest.mark.parametrize("n, Z", [(1, 8), (2, 5), (3, 3)])
+    def test_permutations_and_multiples_keep_the_histogram(self, n, Z):
+        # the canonical row (sorted, divided by its gcd) stands for all of them
+        rng = np.random.default_rng(30 + n)
+        for c in rng.integers(1, 7, size=(3, n + 1)).tolist():
+            variants = [[k * v for v in p] for p in itertools.permutations(c) for k in (1, 2, 3)]
+            hist = _kernel_rows(np.array(variants, dtype=np.int64), Z)
+            assert (hist == hist[0]).all()
+            assert (2 * hist[0]).tolist() == self.naive_hist([c], Z)
 
     @pytest.mark.parametrize("chunk", [1, 7, 40])
     @pytest.mark.parametrize("n, Z", [(1, 6), (2, 4), (3, 3)])
@@ -169,7 +189,7 @@ class TestKernelHistogram:
         monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
         rng = np.random.default_rng(10 + n)
         C = rng.integers(1, 9, size=(5, n + 1))
-        assert (2 * _kernel_rows(C, Z)).tolist() == self.naive_hist(C.tolist(), Z)
+        assert (2 * _kernel_rows(C, Z).sum(axis=0)).tolist() == self.naive_hist(C.tolist(), Z)
 
 
 def _gcd_one(V):
@@ -184,7 +204,7 @@ class TestOrbitReduction:
         if primitive:
             P, Q = _gcd_one(P), _gcd_one(Q)
         C = (P[:, None, :] * Q[None, :, :]).reshape(-1, n + 1)
-        hist = _kernel_rows(C, Z).tolist()
+        hist = _kernel_rows(C, Z).sum(axis=0).tolist()
         if not primitive:
             return hist
         return [0] + [
@@ -200,14 +220,30 @@ class TestOrbitReduction:
          (3, 2, 4, 2), (3, 4, 2, 2), (3, 3, 3, 2)],
     )
     def test_block_equals_full_row_sum(self, n, a, b, Z, primitive):
-        groups = _orbit_groups(n, max(a, b), primitive)
         Q = _exact_max_vectors(n, min(a, b))
         if primitive:
             Q = _gcd_one(Q)
         mu = mobius_sieve(Z) if primitive else None
-        block = _count_pair_block(groups, Q, Z, mu)
+        block = _count_pair_block(_orbits(n, max(a, b), primitive), Q, Z, mu, _RowTable(n, a * b + 1))
         assert block.tolist() == self.literal_block(n, a, b, Z, primitive)
         assert block.sum() > 0
+
+    @pytest.mark.parametrize("primitive", [False, True])
+    @pytest.mark.parametrize("n, blocks", [(1, [(5, 5), (6, 4), (4, 3), (6, 2)]),
+                                           (2, [(3, 2), (4, 2), (2, 2), (6, 1)]),
+                                           (3, [(2, 2), (4, 2), (3, 1)])])
+    def test_blocks_read_rows_that_earlier_blocks_scanned(self, n, blocks, primitive):
+        # one table across blocks taken by decreasing cap, as a worker does:
+        # a later block reads shared rows as prefixes of longer histograms
+        table = _RowTable(n, max(m * k for m, k in blocks) + 1)
+        mu = mobius_sieve(8) if primitive else None
+        for Z, (m, k) in zip(range(8, 0, -2), blocks):
+            Q = _exact_max_vectors(n, k)
+            if primitive:
+                Q = _gcd_one(Q)
+            block = _count_pair_block(_orbits(n, m, primitive), Q, Z, mu, table)
+            assert block.tolist() == self.literal_block(n, m, k, Z, primitive)
+        assert len(table.keys) > 1
 
     @pytest.mark.parametrize("primitive", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -217,7 +253,8 @@ class TestOrbitReduction:
             if primitive:
                 V = _gcd_one(V)
             orbits = Counter(tuple(sorted(v)) for v in V.tolist())
-            reps = {tuple(r): w for w, R in _orbit_groups(n, m, primitive) for r in R.tolist()}
+            R, sizes = _orbits(n, m, primitive)
+            reps = dict(zip(map(tuple, R.tolist()), sizes.tolist()))
             assert reps == orbits
             assert sum(reps.values()) == len(V)
 
@@ -283,6 +320,46 @@ class TestCountPoints:
         multi = count_points(2, 12, conv, threads=2).count
         assert single == multi
 
+    @pytest.mark.parametrize("name", ["primitive", "all", "E1", "E3"])
+    @pytest.mark.parametrize("n, B", [(2, 120), (3, 30)])
+    def test_thread_count_invariance_where_row_tables_differ(self, n, B, name):
+        # each worker scans the canonical rows of its own share, so its table
+        # depends on the thread count; the counts must not
+        bounds = [B, B // 2, B // 3]
+        counts = [count_at_bounds(n, bounds, NAMED_CONVENTIONS[name], threads=t) for t in (1, 2, 3)]
+        assert counts[0] == counts[1] == counts[2]
+        assert min(counts[0]) > 0
+
+    def test_each_canonical_row_is_scanned_once(self, monkeypatch):
+        # n=2, B=120, primitive, one worker: the rows handed to the kernel are
+        # the distinct canonical forms (sorted, divided by the gcd) of every
+        # coefficient row x_i*y_i of the stream's pair blocks
+        scanned = []
+
+        def counted(C, Z):
+            scanned.append(len(C))
+            return _kernel_rows(C, Z)
+
+        monkeypatch.setattr("triprox.counting._kernel_rows", counted)
+        assert count_points(2, 120, NAMED_CONVENTIONS["primitive"], threads=1).count == 104027904
+
+        def in_dxy(a, b):
+            return a * b <= 120 and a**3 <= 120 and (a * b) ** 3 <= 120**2
+
+        def shell(a):
+            return [v for v in itertools.product(range(1, a + 1), repeat=3) if max(v) == a and math.gcd(*v) == 1]
+
+        canonical = set()
+        for m in range(1, 121):
+            for k in range(1, m + 1):
+                if in_dxy(m, k) or in_dxy(k, m):
+                    for p in shell(m):
+                        for q in shell(k):
+                            row = sorted(u * v for u, v in zip(p, q))
+                            g = math.gcd(*row)
+                            canonical.add(tuple(v // g for v in row))
+        assert sum(scanned) == len(canonical) > 0
+
 
 class TestGoldenCounts:
     """The primitive counts N(B) of the north-star table in ROADMAP.md, which
@@ -301,7 +378,7 @@ class TestGoldenCounts:
     def test_primitive_count(self, n, B):
         assert count_points(n, B, NAMED_CONVENTIONS["primitive"]).count == self.GOLDEN[n, B]
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_mobius_n3(self, threads):
         # the benchmark's mobius-n3 answer, which equals count_points(3, 30, primitive)
         assert mobius_count(3, 30, threads=threads) == 950859264
