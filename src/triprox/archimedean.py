@@ -106,7 +106,8 @@ def _mc_blocks(samples: int, dims: int, seed: int, tag: int, f_of_block):
     row by row.
     """
     # Imported here so that importing the CLI loads no thread machinery, and
-    # the pool is joined before the call returns (compare forks count workers).
+    # the pool is joined before the call returns (compare's count threads
+    # have finished before it starts).
     from concurrent.futures import ThreadPoolExecutor
 
     _check_mc_inputs(samples, seed)

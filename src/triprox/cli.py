@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--convention", default="all",
                          choices=sorted(NAMED_CONVENTIONS) + ["mobius"],
                          help="which solutions to count")
-    p_count.add_argument("--threads", type=int, default=1, help="worker processes")
+    p_count.add_argument("--threads", type=int, default=1, help="counting threads in this process")
     p_count.add_argument("--out", default=None, help="JSON-lines store to append to")
     p_count.set_defaults(func=cmd_count)
 
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--t-max", type=int, default=40)
     p_cmp.add_argument("--mc-samples", type=int, default=1_000_000)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--threads", type=int, default=1)
+    p_cmp.add_argument("--threads", type=int, default=1, help="counting threads in this process")
     p_cmp.add_argument("--csv", default=None, help="CSV export path")
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)

@@ -22,12 +22,12 @@ Two independent implementations share one contract:
   3*cum[Z1] - 3*cum[Z12] + cum[Z123] of its prefix sums, in Python ints:
   ``count_points`` passes one bound, ``count_at_bounds`` (``compare``)
   several, ``mobius_count`` every floor(B/t) its Mobius sum reads.  With
-  threads > 1 one process pool gets the blocks, largest estimated cost
-  (rows x Z*(2Z)^(n-1) kernel cells) first to the least loaded worker; the
-  same estimate, summed, is the engine's budget.  Signs enter through one
-  weight: x, y and z are positive magnitude vectors and z_1 >= 1, negation
-  flips the sign-fix predicate, so each block stands for 2^(2n+3) signed
-  solutions, halved once per sign-fixed vector.
+  threads > 1 the blocks are dealt to that many threads in this process,
+  largest estimated cost (rows x Z*(2Z)^(n-1) kernel cells) first to the
+  least loaded share; the same estimate, summed, is the engine's budget.
+  Signs enter through one weight: x, y and z are positive magnitude vectors
+  and z_1 >= 1, negation flips the sign-fix predicate, so each block stands
+  for 2^(2n+3) signed solutions, halved once per sign-fixed vector.
 
   A block's coefficient rows x_i*y_i repeat, within the block and across
   blocks.  A worker scans each row once in its canonical form, entries
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,19 +65,20 @@ from .lattice import check_dim
 # (n+1)*B*Z <= (n+1)*B^2, so B is capped well below the exact range.
 _MAX_BOUND = 2**30
 
-# Largest number of int64 cells in one array of the vectorized kernel (rows x
-# z-grid points, or the points of one z-grid piece) or of a pair block's
-# coefficient rows (rows x (n+1)): 2 MiB per array, so a pair block's working
-# set is a few of them.
-_CELL_CHUNK = 1 << 18
+# Largest number of cells in one array of the vectorized kernel (rows x z
+# cells of one piece, unless one z_1 value of one row is larger), of a pair
+# block's coefficient rows (rows x (n+1)) or of a table read: 128 KiB per
+# float32 kernel buffer and 256 KiB per int64 array, so a pair block's
+# working set is a few of them.  Every worker thread of a count holds its
+# own, in one process, and the benchmark's peak RSS counts them together.
+_CELL_CHUNK = 1 << 15
 _ORACLE_OPS_BUDGET = 400_000_000
 
 # Largest z-grid the kernel scans per coefficient row, Z*(2Z)^(n-1) cells.
-# The grid is built in pieces of at most _CELL_CHUNK cells (one z_1 value
-# each when (2Z)^(n-1) alone is larger, as at n=4 for Z > 32), so this bounds
-# the scan per row, not memory: a process scanning one row at n=3, Z=192
-# peaks at 46 MB.  It admits n=2 up to B=4096 and n=3 up to B=203, and
-# refuses n=3, B=300 (108M cells per row).
+# The cells are taken in pieces of at most _CELL_CHUNK (one z_1 value each
+# when (2Z)^(n-1) alone is larger, as at n=4 for Z > 16), so this bounds the
+# scan per row, not memory.  It admits n=2 up to B=4096 and n=3 up to B=203,
+# and refuses n=3, B=300 (108M cells per row).
 _Z_GRID_BUDGET = 1 << 25
 
 # Largest number of kernel cells, rows x Z*(2Z)^(n-1) summed over the pair
@@ -209,44 +209,69 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
     histogram at a smaller cap is a prefix of this one.  C must have
     positive entries, in any order: the kernel solves for column 0,
     enumerating the other n coordinates and accepting a cell when C[r,0]
-    divides the partial sum with a quotient in [-Z,-1] u [1,Z].  The
-    remainder and the range test are taken once per cell; the quotient and
-    max|z| only on the sparse accepted cells.
+    divides the partial sum s with a quotient in [-Z,-1] u [1,Z].
 
-    The grid is built in pieces of consecutive z_1 values, each of at most
-    _CELL_CHUNK cells (one z_1 value when (2Z)^(n-1) alone is larger), and
-    the rows are taken in chunks, so no array but the result grows with
-    Z*(2Z)^(n-1) or with the number of rows.
+    It builds no grid of z.  Each cell costs a few passes over float32
+    buffers allocated once per call: s as the broadcast sum of the
+    per-coordinate products C[r,j]*z_j, the quotient q = s / C[r,0] in
+    place, |q| clipped to [1/2, Z+1/2], and the test floor(q) == q, which
+    the clip leaves true exactly for |q| in [1, Z].  The test is exact
+    while every |s| < 2^24, which the call checks (n*max(C)*Z bounds |s|):
+    every product and partial sum is then an integer float32 holds exactly,
+    and a quotient with a remainder lies at least 1/C[r,0] from every
+    integer, farther than its rounding error |s|/C[r,0] * 2^-24.  A pair
+    block's canonical rows have max(C)*Z <= B (m*k bounds the entries and
+    the cap is at most B/(m*k)), and the z-grid budget keeps n*B far below
+    2^24 (n=1 stops at the cell budget near B=2^17).  q then holds |z_0| on
+    the accepted cells; two broadcast maxima, against z_1 and against the
+    max|z_2..z_n| of each of the (2Z)^(n-1) points, and a row offset turn
+    it into the histogram index, which the accepted cells alone carry to
+    the count.
+
+    The cells are taken in pieces of consecutive z_1 values times a chunk
+    of rows, each of at most _CELL_CHUNK cells (one z_1 value and one row
+    when (2Z)^(n-1) alone is larger), so no array but the result and the
+    per-point tables of z_2..z_n grows with Z or with the number of rows.
     """
     hist = np.zeros((len(C), Z + 1), dtype=np.int64)
     if Z < 1 or len(C) == 0:
         return hist
     n = C.shape[1] - 1
-    rest = [_signed_range(Z)] * (n - 1)
-    z1_chunk = max(1, _CELL_CHUNK // (2 * Z) ** (n - 1))
+    if n * int(C.max()) * Z >= 1 << 24:
+        raise OverflowGuardError(f"kernel sums n*max(C)*Z (n={n}, Z={Z}) reach 2^24, beyond exact float32")
+    width = (2 * Z) ** (n - 1)
+    signed = _signed_range(Z).astype(np.float32)
+    rest_max = np.ones(1, dtype=np.float32)  # max|z_2..z_n| per point, z_2 varying slowest
+    for _ in range(n - 1):
+        rest_max = np.maximum.outer(np.abs(signed), rest_max).reshape(-1)
+    z1_chunk = max(1, min(Z, _CELL_CHUNK // width))
+    row_chunk = max(1, _CELL_CHUNK // max(z1_chunk * width, Z + 1))
+    size = min(row_chunk, len(C)) * z1_chunk * width
+    q_buf, floor_buf, hit_buf = (np.empty(size, dtype=t) for t in (np.float32, np.float32, bool))
+    Cf = C.astype(np.float32)
     flat = hist.reshape(-1)
-    for z1 in range(1, Z + 1, z1_chunk):
-        grid = _grid([np.arange(z1, min(z1 + z1_chunk, Z + 1), dtype=np.int64)] + rest)
-        gmax = grid[:, 0].copy()
-        for j in range(1, n):
-            np.maximum(gmax, np.abs(grid[:, j]), out=gmax)
-        row_chunk = max(1, _CELL_CHUNK // max(len(grid), Z + 1))
-        for lo in range(0, len(C), row_chunk):
-            Cc = C[lo : lo + row_chunk]
-            s = np.multiply.outer(Cc[:, 1], grid[:, 0])
-            for j in range(2, n + 1):
-                s += np.multiply.outer(Cc[:, j], grid[:, j - 1])
-            c0 = Cc[:, :1]
-            hit = s % c0 == 0
-            hit &= s != 0
-            hit &= s <= Z * c0
-            hit &= s >= -Z * c0
-            r, g = np.nonzero(hit)
-            q = np.abs(s[r, g]) // Cc[r, 0]
-            cells = len(Cc) * (Z + 1)
-            flat[lo * (Z + 1) : lo * (Z + 1) + cells] += np.bincount(
-                r * (Z + 1) + np.maximum(q, gmax[g]), minlength=cells
-            )
+    for lo in range(0, len(C), row_chunk):
+        Cc = Cf[lo : lo + row_chunk]
+        rows = len(Cc)
+        rest = np.zeros((rows, 1), dtype=np.float32)  # sum_{j>=2} C[r,j]*z_j, laid out as rest_max
+        for j in range(n, 1, -1):
+            rest = (Cc[:, j, None, None] * signed[:, None] + rest[:, None, :]).reshape(rows, -1)
+        offset = np.arange(0, rows * (Z + 1), Z + 1, dtype=np.float32)[:, None, None]
+        for z1 in range(1, Z + 1, z1_chunk):
+            span = min(z1_chunk, Z + 1 - z1)
+            cells = rows * span * width
+            q, floor, hit = (a[:cells].reshape(rows, span, width) for a in (q_buf, floor_buf, hit_buf))
+            z1s = np.arange(z1, z1 + span, dtype=np.float32)
+            np.add((Cc[:, 1, None] * z1s)[:, :, None], rest[:, None, :], out=q)
+            np.divide(q, Cc[:, :1, None], out=q)
+            np.abs(q, out=q)
+            np.clip(q, 0.5, Z + 0.5, out=q)
+            np.floor(q, out=floor)
+            np.equal(floor, q, out=hit)
+            np.maximum(q, z1s[:, None], out=q)
+            np.maximum(q, rest_max, out=q)
+            q += offset  # row * (Z+1) + max|z| < max(_CELL_CHUNK, Z+1): exact
+            flat[lo * (Z + 1) : (lo + rows) * (Z + 1)] += np.bincount(q[hit].astype(np.intp), minlength=rows * (Z + 1))
     return hist
 
 
@@ -406,7 +431,7 @@ def _count_pair_block(
     keys = []
     r_chunk = max(1, _CELL_CHUNK // max(len(Q) * n1, 1))
     # Stable sorts and no matmul: numpy's default int64 sorts and its integer
-    # matmul would load about 0.4 MB more code into every count process.
+    # matmul would load about 0.4 MB more code into every count command.
     for lo in range(0, len(R), r_chunk):
         C = np.sort((R[lo : lo + r_chunk, None, :] * Q[None, :, :]).reshape(-1, n1), axis=1, kind="stable")
         C //= np.gcd.reduce(C, axis=1, keepdims=True)
@@ -420,12 +445,21 @@ def _count_pair_block(
     own = table.keys[pos] != key
     table.add(pos[own], key[own], _kernel_rows(key[own, None] // table.digits % table.base, Z))
     hist = table.hist(key, weight, Z)
-    if mu is not None:
-        prim = np.zeros_like(hist)
-        for d in np.flatnonzero(mu[1 : Z + 1]) + 1:
-            prim[d::d] += int(mu[d]) * hist[1 : Z // d + 1]
-        hist = prim
-    return hist
+    return hist if mu is None else _mobius_inverse(hist, mu)
+
+
+def _mobius_inverse(hist: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """prim[h] = sum over d | h of mu(d) * hist[h/d], for h = 1..Z (prim[0]
+    = 0), Z = len(hist) - 1: one exact int64 ``np.add.at`` over the pairs
+    (d, e) of a squarefree d and d*e <= Z, listed as in ``_orbits``."""
+    Z = len(hist) - 1
+    d = np.flatnonzero(mu[1 : Z + 1]) + 1
+    per = Z // d
+    d = np.repeat(d, per)
+    e = np.arange(1, len(d) + 1) - np.repeat(np.cumsum(per) - per, per)
+    prim = np.zeros_like(hist)
+    np.add.at(prim, d * e, mu[d] * hist[e])
+    return prim
 
 
 def _pair_blocks(n: int, B: int) -> list[tuple[int, int, int, int]]:
@@ -456,7 +490,7 @@ def _pair_blocks(n: int, B: int) -> list[tuple[int, int, int, int]]:
 
 
 def _count_blocks(args: tuple) -> list[int]:
-    """Worker: per bound, the sum of coefficient x cum[z-cap] over the terms
+    """One worker thread's share: per bound, the sum of coefficient x cum[z-cap] over the terms
     of its blocks, cum the prefix sums of a block's half-histogram by max|z|
     (a prefix is exact: the primitive Mobius step commutes with truncation).
     The blocks are taken by decreasing cap, so the first block that holds a
@@ -484,9 +518,11 @@ def _count_blocks(args: tuple) -> list[int]:
 
 def count_at_bounds(n: int, bounds: list[int], conv: CountingConvention, threads: int = 1) -> list[int]:
     """Exact cardinalities of the solution sets selected by ``conv`` at each
-    of ``bounds``, from one stream of pair blocks.  The workers' exact
-    totals are summed in worker order: the result does not depend on
-    ``threads``.
+    of ``bounds``, from one stream of pair blocks, dealt to ``threads``
+    threads of this process (the calling thread runs the first share).  numpy
+    releases the GIL in the kernel's passes, so the shares overlap there.
+    The workers' exact totals are summed in worker order: the result does not
+    depend on ``threads``.
     """
     check_dim(n)
     for B in bounds:
@@ -513,8 +549,13 @@ def count_at_bounds(n: int, bounds: list[int], conv: CountingConvention, threads
     if threads == 1:
         parts = [_count_blocks(payloads[0])]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_count_blocks, payloads))
+        # Imported here so that importing the CLI loads no thread machinery;
+        # the calling thread runs share 0 while the pool runs the others.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            others = pool.map(_count_blocks, payloads[1:])
+            parts = [_count_blocks(payloads[0]), *others]
     weight = 2 ** (2 * n + 3 - len(conv.sign_fix))
     return [weight * sum(totals) for totals in zip(*parts)]
 

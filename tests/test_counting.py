@@ -12,6 +12,7 @@ from triprox import (
     CountingConvention,
     Domain,
     NAMED_CONVENTIONS,
+    OverflowGuardError,
     count_points,
     count_points_oracle,
     mobius_count,
@@ -25,6 +26,7 @@ from triprox.counting import (
     _first_max_positive,
     _in_domain,
     _kernel_rows,
+    _mobius_inverse,
     _orbits,
     _primitive_mask,
     _RowTable,
@@ -190,6 +192,63 @@ class TestKernelHistogram:
         rng = np.random.default_rng(10 + n)
         C = rng.integers(1, 9, size=(5, n + 1))
         assert (2 * _kernel_rows(C, Z).sum(axis=0)).tolist() == self.naive_hist(C.tolist(), Z)
+
+    @pytest.mark.parametrize("n, Z, chunk", [(3, 4, 150), (3, 5, 250), (3, 4, 600), (4, 3, 100)])
+    def test_chunk_splits_match_literal_scan(self, monkeypatch, n, Z, chunk):
+        # n=3: z_1 pieces of 2 values, the last one short, and row chunks of
+        # 2 rows; n=4: one z_1 value, (2Z)^3 = 216 cells, exceeds the chunk
+        monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
+        rng = np.random.default_rng(40 + n)
+        C = rng.integers(1, 9, size=(5, n + 1))
+        C[0] = 1  # column 0 divides every sum: the clip alone bounds the quotient
+        hist = 2 * _kernel_rows(C, Z)
+        for row, c in zip(hist.tolist(), C.tolist()):
+            assert row == self.naive_hist([c], Z)
+        assert hist.sum() > 0
+
+    def test_working_set_is_a_few_chunks(self):
+        # n=3, Z=24: 14 z_1 values of (2Z)^2 cells per piece, so both the z_1
+        # range and the rows are split; rows with small entries in column 0
+        # make the accepted cells dense
+        import tracemalloc
+
+        Z = 24
+        assert 1 < counting._CELL_CHUNK // (2 * Z) ** 2 < Z
+        C = np.random.default_rng(7).integers(1, 9, size=(20, 4))
+        C[:5, 0] = 1
+        tracemalloc.start()
+        try:
+            hist = _kernel_rows(C, Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 9 bytes per cell of buffers (two float32, one bool) and about 12 per
+        # accepted cell: about 1.5 chunks of 8 bytes here
+        assert hist.sum() > 0
+        assert peak < 3 * counting._CELL_CHUNK * 8
+
+    def test_refuses_sums_beyond_exact_float(self):
+        # |s| <= n*max(C)*Z must stay below 2^24, where float32 is exact
+        with pytest.raises(OverflowGuardError):
+            _kernel_rows(rows((1, 2**21, 1)), 4)
+        assert (2 * _kernel_rows(rows((1, 2**21 - 1, 1)), 4)).tolist() == [[0] * 5]
+        # solved for 2^20 with partial sums up to 12*2^20: z = k*(1, 1, -1)
+        c = [2**20, 2**20 - 1, 2**21 - 1]
+        assert (2 * _kernel_rows(rows(c), 4)).tolist() == [self.naive_hist([c], 4)] == [[0, 2, 2, 2, 2]]
+
+
+class TestMobiusInverse:
+    @pytest.mark.parametrize("Z", range(1, 61))
+    def test_matches_literal_loop(self, Z):
+        rng = np.random.default_rng(Z)
+        hist = rng.integers(-(10**12), 10**12, size=Z + 1)
+        hist[0] = 0
+        mu = mobius_sieve(Z + 7)
+        literal = np.zeros_like(hist)
+        for d in range(1, Z + 1):
+            if mu[d]:
+                literal[d::d] += int(mu[d]) * hist[1 : Z // d + 1]
+        assert _mobius_inverse(hist, mu).tolist() == literal.tolist()
 
 
 def _gcd_one(V):

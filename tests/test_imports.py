@@ -34,6 +34,20 @@ def test_cli_import_leaves_thread_pool_unloaded():
     assert run_fresh(code) is False
 
 
+def test_count_threads_leave_process_machinery_unloaded():
+    # count workers are threads of the calling process: neither the import
+    # nor a two-worker count loads multiprocessing or the process pool
+    code = ("import contextlib, io, json, sys\n"
+            "import triprox.cli\n"
+            "loaded = lambda: [m in sys.modules for m in ('multiprocessing', 'concurrent.futures.process')]\n"
+            "after_import = loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = triprox.cli.main(['count', '--n', '3', '--bound', '30', '--convention', 'mobius',\n"
+            "                           '--threads', '2'])\n"
+            "print(json.dumps([rc, after_import, loaded()]))")
+    assert run_fresh(code) == [0, [False, False], [False, False]]
+
+
 @pytest.mark.parametrize("argv, loads_scipy", [
     (["count", "--n", "2", "--bound", "10", "--convention", "primitive"], False),
     (["compare", "--n", "2", "--bounds", "8,12", "--p-max", "30", "--t-max", "15",
@@ -52,8 +66,9 @@ def test_only_delta_loads_scipy(argv, loads_scipy):
 
 
 def test_count_worker_imports_nothing():
-    # _count_blocks is what a forked count worker runs; a module it imports
-    # lazily (numpy.ma behind np.unique, say) is paid again by every worker.
+    # _count_blocks is what each count worker thread runs; a module it
+    # imports lazily (numpy.ma behind np.unique, say) is paid by every count
+    # command, inside the count's own time.
     # The payloads come from the planner, with the worker stubbed out.
     code = ("import json, sys, triprox.cli\n"
             "import triprox.counting as counting\n"
