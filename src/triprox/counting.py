@@ -16,29 +16,20 @@ Two independent implementations share one contract:
   is monotone in c): Z1 for DXY, Z12 = min(Z1, DYZ cap), Z123 = min(Z12,
   DZX cap).  A domain convention counts |E1|.
 
-  One call streams the pair blocks (``_count_pair_block``) of its largest
-  bound, one per unordered pair of magnitudes (DXY and its caps shrink with
-  B).  Each runs once, at its largest cap, and each (bound, order) adds
-  3*cum[Z1] - 3*cum[Z12] + cum[Z123] of its prefix sums, in Python ints:
-  ``count_points`` passes one bound, ``count_at_bounds`` (``compare``)
-  several, ``mobius_count`` every floor(B/t) its Mobius sum reads.  With
-  threads > 1 the blocks are dealt to that many threads in this process,
-  largest estimated cost (rows x Z*(2Z)^(n-1) kernel cells) first to the
-  least loaded share; the same estimate, summed, is the engine's budget.
-  Signs enter through one weight: x, y and z are positive magnitude vectors
-  and z_1 >= 1, negation flips the sign-fix predicate, so each block stands
-  for 2^(2n+3) signed solutions, halved once per sign-fixed vector.
-
-  A block's coefficient rows x_i*y_i repeat, within the block and across
-  blocks.  A worker scans each row once in its canonical form, entries
-  sorted and then divided by their gcd, which has the same half-histogram:
-  c and c/g have the same solutions z, a permutation of c permutes the
-  coordinates of each z, and z -> -z splits the solutions of each height
-  evenly by the sign of any one coordinate.  The worker takes its blocks by
-  decreasing cap and keeps a table of the rows it has scanned: the first
-  block that holds a row scans it, at the largest cap any of its blocks
-  reads, and the others read a prefix of its histogram.  At n=2, B=120 the
-  blocks hold 6,498 rows and the kernel scans 2,106.
+  A count makes one stream of pair blocks (``_pair_blocks``) at its
+  largest bound, one per unordered pair of magnitudes (DXY and its caps
+  shrink with B), and one batched pass (``_histograms``) makes row i of a
+  matrix H block i's histogram by exact max|z| over its coefficient rows
+  x_i*y_i.  The pass scans each distinct row once, in canonical form and at
+  the largest cap of its blocks, with one ``_kernel_rows`` call per cap (at
+  n=2, B=120 the 44 blocks hold 6,498 rows; 16 calls scan 2,106), spread
+  over the count's threads.  Each (bound, order of the pair) of a block adds
+  3*cum[Z1] - 3*cum[Z12] + cum[Z123] of its row's prefix sums: one bound
+  for ``count_points``, several for ``count_at_bounds`` (``compare``), and
+  every floor(B/t) its Mobius sum reads for ``mobius_count``.  Signs enter
+  through one weight: with x, y, z positive and z_1 >= 1 (negation flips
+  the sign-fix predicate) each block stands for 2^(2n+3) signed solutions,
+  halved once per sign-fixed vector.
 
 * ``count_points_oracle`` -- a deliberately naive scan that enumerates signed
   coordinate tuples directly, tests the trilinear sum literally, and applies
@@ -66,11 +57,11 @@ from .lattice import check_dim
 _MAX_BOUND = 2**30
 
 # Largest number of cells in one array of the vectorized kernel (rows x z
-# cells of one piece, unless one z_1 value of one row is larger), of a pair
-# block's coefficient rows (rows x (n+1)) or of a table read: 128 KiB per
-# float32 kernel buffer and 256 KiB per int64 array, so a pair block's
-# working set is a few of them.  Every worker thread of a count holds its
-# own, in one process, and the benchmark's peak RSS counts them together.
+# cells of one piece, unless one z_1 value of one row is larger), of a chunk
+# of coefficient rows (rows x (n+1)) or of a scatter into H (incidences x
+# (Z+1)): 128 KiB per float32 kernel buffer and 256 KiB per int64 array.
+# Every worker thread of a count holds its own, in one process, and the
+# benchmark's peak RSS counts them together.
 _CELL_CHUNK = 1 << 15
 _ORACLE_OPS_BUDGET = 400_000_000
 
@@ -82,11 +73,11 @@ _ORACLE_OPS_BUDGET = 400_000_000
 _Z_GRID_BUDGET = 1 << 25
 
 # Largest number of kernel cells, rows x Z*(2Z)^(n-1) summed over the pair
-# blocks of one count, that the engine takes on.  The rows are counted
-# before a worker scans each canonical row once, so the sum is an upper
-# bound on the cells scanned (2.4x at n=2, B=120).  It admits the largest
-# golden bounds, n=2, B=1920 (2.7e9 cells) and n=3, B=192 (6.7e8), and
-# refuses n=2, B=3840 (1.9e10) and n=1 beyond B of about 2^17.
+# blocks of one count, that the engine takes on.  The rows are counted per
+# block, before the count scans each canonical row once, so the sum is an
+# upper bound on the cells scanned (2.4x at n=2, B=120).  It admits the
+# largest golden bounds, n=2, B=1920 (2.7e9 cells) and n=3, B=192 (6.7e8),
+# and refuses n=2, B=3840 (1.9e10) and n=1 beyond B of about 2^17.
 _CELL_BUDGET = 1 << 32
 
 
@@ -219,14 +210,14 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
     while every |s| < 2^24, which the call checks (n*max(C)*Z bounds |s|):
     every product and partial sum is then an integer float32 holds exactly,
     and a quotient with a remainder lies at least 1/C[r,0] from every
-    integer, farther than its rounding error |s|/C[r,0] * 2^-24.  A pair
-    block's canonical rows have max(C)*Z <= B (m*k bounds the entries and
-    the cap is at most B/(m*k)), and the z-grid budget keeps n*B far below
-    2^24 (n=1 stops at the cell budget near B=2^17).  q then holds |z_0| on
-    the accepted cells; two broadcast maxima, against z_1 and against the
-    max|z_2..z_n| of each of the (2Z)^(n-1) points, and a row offset turn
-    it into the histogram index, which the accepted cells alone carry to
-    the count.
+    integer, farther than its rounding error |s|/C[r,0] * 2^-24.  A
+    canonical row has max(C)*Z <= B at its cap (a block's entries are at
+    most m*k and its cap at most B/(m*k)), and the z-grid budget keeps n*B
+    far below 2^24 (n=1 stops at the cell budget near B=2^17).  q then
+    holds |z_0| on the accepted cells; two broadcast maxima, against z_1
+    and against the max|z_2..z_n| of each of the (2Z)^(n-1) points, and a
+    row offset turn it into the histogram index, which the accepted cells
+    alone carry to the count.
 
     The cells are taken in pieces of consecutive z_1 values times a chunk
     of rows, each of at most _CELL_CHUNK cells (one z_1 value and one row
@@ -295,24 +286,24 @@ def _primitive_mask(V: np.ndarray) -> np.ndarray:
     return np.gcd.reduce(np.abs(V), axis=1) == 1
 
 
-def _orbits(n: int, m: int, primitive: bool) -> tuple[np.ndarray, np.ndarray]:
+def _orbits(n: int, M: int, primitive: bool) -> tuple[np.ndarray, np.ndarray]:
     """One representative per S_(n+1)-orbit of the positive vectors with max
-    coordinate exactly m (gcd 1 only, with ``primitive``), and the orbit
-    sizes: (representatives, sizes).
+    coordinate at most M (gcd 1 only, with ``primitive``), and the orbit
+    sizes: (representatives, sizes), sorted by the max.
 
-    The representatives are the nondecreasing vectors ending in m, built one
-    coordinate at a time: a row with last entry v extends by v..m.  A sorted
-    vector with runs of lengths r_1, r_2, ... has orbit (n+1)!/prod(r_j!),
-    and prod(r_j!) is the product over coordinates of the current run length.
+    The representatives are the nondecreasing vectors, built from the last
+    entry, the max, to the first: a row with first entry v extends in front
+    by 1..v, keeping the order of the last entries.  A sorted vector with
+    runs of lengths r_1, r_2, ... has orbit (n+1)!/prod(r_j!), and
+    prod(r_j!) is the product over coordinates of the current run length.
     """
-    reps = np.arange(1, m + 1, dtype=np.int64).reshape(-1, 1)
-    for _ in range(n - 1):
-        last = reps[:, -1]
-        counts = m - last + 1
-        parent = np.repeat(np.arange(len(reps)), counts)
-        offset = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        reps = np.column_stack([reps[parent], last[parent] + offset])
-    reps = np.column_stack([reps, np.full(len(reps), m, dtype=np.int64)])
+    reps = np.arange(1, M + 1, dtype=np.int32).reshape(-1, 1)
+    for _ in range(n):
+        first = reps[:, 0]
+        parent = np.repeat(np.arange(len(reps), dtype=np.int32), first)
+        head = np.arange(1, len(parent) + 1, dtype=np.int32)
+        head -= np.repeat(np.cumsum(first, dtype=np.int32) - first, first)
+        reps = np.column_stack([head, reps[parent]])
     if primitive:
         reps = reps[_primitive_mask(reps)]
     run = np.ones(len(reps), dtype=np.int64)
@@ -329,137 +320,18 @@ def _z_cap(B: int, a: int, b: int, domain: Domain) -> int:
     return bisect_left(range(1, B // (a * b) + 1), True, key=lambda c: not _in_domain(B, a, b, c, domain))
 
 
-def _merged(old: np.ndarray, held: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``old`` in order at the places ``held`` marks, ``new`` at ``at``."""
-    out = np.empty(len(held), dtype=np.int64)
-    out[held] = old
-    out[at] = new
-    return out
-
-
-class _RowTable:
-    """A worker's half-histograms by canonical row (``_count_pair_block``).
-
-    A canonical row is packed into one int64, its entries the digits of a
-    number in base ``base``, above every entry.  ``keys`` holds the packed
-    rows in increasing order, ending in a sentinel above every key, and
-    ``start`` the offset of each row's histogram in ``flat``.  A histogram
-    runs to the cap it was scanned at; ``flat`` doubles when it is full.
-    Its counts fit int32: a row has at most Z*(2Z)^(n-1) cells, within the
-    z-grid budget.
-    """
-
-    def __init__(self, n: int, base: int):
-        self.base = base
-        self.digits = base ** np.arange(n, -1, -1, dtype=np.int64)
-        self.keys = np.array([np.iinfo(np.int64).max])
-        self.start = np.zeros(1, dtype=np.int64)
-        self.flat = np.zeros(0, dtype=np.int32)
-        self.used = 0
-
-    def add(self, pos: np.ndarray, keys: np.ndarray, hists: np.ndarray) -> None:
-        """Insert the sorted new ``keys`` before the entries at ``pos``, with
-        their histograms, one per row of ``hists``."""
-        end = self.used + hists.size
-        if end > len(self.flat):
-            grown = np.empty(max(end, 2 * len(self.flat)), dtype=np.int32)
-            grown[: self.used] = self.flat[: self.used]
-            self.flat = grown
-        self.flat[self.used : end] = hists.reshape(-1)
-        # np.insert by hand, a third of its cost on these short arrays: the
-        # new rows land at ``at``, the held ones keep their order around them
-        at = pos + np.arange(len(keys))
-        held = np.ones(len(self.keys) + len(keys), dtype=bool)
-        held[at] = False
-        self.keys = _merged(self.keys, held, at, keys)
-        self.start = _merged(self.start, held, at, self.used + hists.shape[1] * np.arange(len(keys)))
-        self.used = end
-
-    def hist(self, keys: np.ndarray, weights: np.ndarray, Z: int) -> np.ndarray:
-        """Sum of weight x histogram up to Z over the held ``keys``."""
-        start = self.start[np.searchsorted(self.keys, keys)]
-        hist = np.zeros(Z + 1, dtype=np.int64)
-        chunk = max(1, _CELL_CHUNK // (Z + 1))
-        for lo in range(0, len(keys), chunk):
-            rows = self.flat[start[lo : lo + chunk, None] + np.arange(Z + 1)]
-            hist += (weights[lo : lo + chunk, None] * rows).sum(axis=0)
-        return hist
-
-
-def _count_pair_block(
-    orbits: tuple[np.ndarray, np.ndarray],
-    Q: np.ndarray,
-    Z: int,
-    mu: np.ndarray | None,
-    table: _RowTable,
-) -> np.ndarray:
-    """Inner-z counts over all positive magnitude pairs of a pair block, as
-    a histogram by exact max|z| (length Z+1) of the z with z_1 >= 1, the
-    half that ``_kernel_rows`` scans.
-
-    The block with maxima (a, b) has the coefficient rows p*q (entrywise)
-    for p, q of exact max a, b.  Write m = max(a, b) and k = min(a, b):
-    since p*q = q*p, the rows are those of the exact-max-m vectors times the
-    exact-max-k vectors Q.  ``orbits`` holds the exact-max-m vectors reduced
-    to one sorted representative r per orbit of the permutations s of the
-    n+1 coordinates, with the orbit sizes (``_orbits``).  s(r)*q =
-    s(r * s^-1(q)), Q is closed under permutation, and the kernel count is
-    invariant under permuting coordinates, so the orbit of r contributes its
-    size times the kernel histogram of the rows r*Q.  Primitivity (the gcd
-    filter on both sides) is permutation invariant too.
-
-    Each row enters in canonical form: entries sorted, then divided by their
-    gcd.  Neither step moves its half-histogram.  A row c and c/g have the
-    same solutions z, and permuting c permutes the coordinates of each z,
-    keeping max|z|.  The half is the z with a positive first enumerated
-    coordinate; z -> -z pairs the solutions of one height and every
-    coordinate is nonzero, so that half is exactly half of them in any
-    column order.  Rows with one canonical form are scanned once, with
-    their orbit sizes summed.  ``table`` holds the rows that blocks taken
-    before this one have scanned, at caps of at least Z (the worker takes
-    its blocks by decreasing cap); this block scans the rest with one
-    ``_kernel_rows`` call at Z, adds them to the table, and reads every row
-    from it.
-
-    With the Mobius table ``mu`` (primitive conventions), the histogram
-    counts primitive z only: every z of max h is d*z' for its content d and
-    a primitive z' of max h/d with the same sign of z_1, so the primitive
-    histogram is the Mobius inversion over d of the half one.
-    """
-    R, sizes = orbits
-    n1 = Q.shape[1]
-    keys = []
-    r_chunk = max(1, _CELL_CHUNK // max(len(Q) * n1, 1))
-    # Stable sorts and no matmul: numpy's default int64 sorts and its integer
-    # matmul would load about 0.4 MB more code into every count command.
-    for lo in range(0, len(R), r_chunk):
-        C = np.sort((R[lo : lo + r_chunk, None, :] * Q[None, :, :]).reshape(-1, n1), axis=1, kind="stable")
-        C //= np.gcd.reduce(C, axis=1, keepdims=True)
-        keys.append((C * table.digits).sum(axis=1))
-    key = np.concatenate(keys)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    key, weight = key[first], np.add.reduceat(np.repeat(sizes, len(Q))[order], first)
-    pos = np.searchsorted(table.keys, key)
-    own = table.keys[pos] != key
-    table.add(pos[own], key[own], _kernel_rows(key[own, None] // table.digits % table.base, Z))
-    hist = table.hist(key, weight, Z)
-    return hist if mu is None else _mobius_inverse(hist, mu)
-
-
-def _mobius_inverse(hist: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """prim[h] = sum over d | h of mu(d) * hist[h/d], for h = 1..Z (prim[0]
-    = 0), Z = len(hist) - 1: one exact int64 ``np.add.at`` over the pairs
-    (d, e) of a squarefree d and d*e <= Z, listed as in ``_orbits``."""
-    Z = len(hist) - 1
-    d = np.flatnonzero(mu[1 : Z + 1]) + 1
-    per = Z // d
-    d = np.repeat(d, per)
-    e = np.arange(1, len(d) + 1) - np.repeat(np.cumsum(per) - per, per)
-    prim = np.zeros_like(hist)
-    np.add.at(prim, d * e, mu[d] * hist[e])
-    return prim
+def _z_caps(B, a, b, domain: Domain) -> np.ndarray:
+    """``_z_cap`` over int arrays that broadcast, bisected in lockstep by
+    array calls of ``_in_domain``.  Its products stay below B^3 (u*v <= B),
+    inside int64 for every bound the cell budget admits (n=1 stops near
+    B=2^17)."""
+    hi = B // (a * b)
+    lo = np.zeros_like(hi)
+    while (lo < hi).any():
+        mid = (lo + hi + 1) // 2
+        ok = _in_domain(B, a, b, mid, domain)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid - 1)
+    return lo
 
 
 def _pair_blocks(n: int, B: int) -> list[tuple[int, int, int, int]]:
@@ -467,11 +339,12 @@ def _pair_blocks(n: int, B: int) -> list[tuple[int, int, int, int]]:
     (m, k) or (k, m) in DXY, Z the larger DXY z-cap of the two orders, cost
     the kernel cells of the block's rows, rows x Z*(2Z)^(n-1), with
     C(m+n-1, n) orbit representatives times k^(n+1) - (k-1)^(n+1) vectors
-    as rows.  A worker scans only the canonical rows no earlier block of its
-    share holds, so the cost is an upper bound, fixed before dealing.  The
-    caps do not grow with m, so an empty block ends its row of k, and an
-    empty (k, k) the stream.  Refuses a per-row z-grid over budget (largest
-    at (1, 1)) and stops at the first partial sum over _CELL_BUDGET."""
+    as rows.  The count scans each canonical row once, so the cost is an
+    upper bound, fixed before any row is formed.  The caps do not grow with
+    m, so an empty block ends its row of k, and an empty (k, k) the stream:
+    the blocks come by k, then by m from k.  Refuses a per-row z-grid over
+    budget (largest at (1, 1)) and stops at the first partial sum over
+    _CELL_BUDGET."""
     _check_z_grid(n, _z_cap(B, 1, 1, Domain.DXY))
     blocks, cells = [], 0
     for k in range(1, B + 1):
@@ -489,75 +362,201 @@ def _pair_blocks(n: int, B: int) -> list[tuple[int, int, int, int]]:
     return blocks
 
 
-def _count_blocks(args: tuple) -> list[int]:
-    """One worker thread's share: per bound, the sum of coefficient x cum[z-cap] over the terms
-    of its blocks, cum the prefix sums of a block's half-histogram by max|z|
-    (a prefix is exact: the primitive Mobius step commutes with truncation).
-    The blocks are taken by decreasing cap, so the first block that holds a
-    canonical row scans it at the largest cap any of them reads.  The table
-    packs rows in base max(m*k) + 1 <= 2B, since m*k <= B bounds every entry
-    of a block's rows.  The z-grid check at (1, 1), where Z = B, bounds
-    2^(n-1)*B^n by 2^25, so a packed row stays below (2B)^(n+1) <= 2^27*B
-    <= 2^52, well inside int64."""
-    n, primitive, nbounds, blocks = args
-    mu = mobius_sieve(max(block[2] for block in blocks)) if primitive else None
-    totals = [0] * nbounds
-    orbits, shells = {}, {}
-    table = _RowTable(n, max(m * k for m, k, _, _ in blocks) + 1)
-    for m, k, Z, terms in sorted(blocks, key=lambda block: -block[2]):
-        if m not in orbits:
-            orbits[m] = _orbits(n, m, primitive)
-        if k not in shells:
-            Q = _exact_max_vectors(n, k)
-            shells[k] = Q[_primitive_mask(Q)] if primitive else Q
-        cum = np.cumsum(_count_pair_block(orbits[m], shells[k], Z, mu, table)).tolist()
-        for i, coef, z in terms:
-            totals[i] += coef * cum[z]
-    return totals
+def _canonical_rows(n: int, blocks: list, primitive: bool, digits: np.ndarray):
+    """The stream's coefficient rows as (packed canonical row, block, orbit
+    weight) incidences, one per distinct pair in a chunk of rows.
 
-
-def count_at_bounds(n: int, bounds: list[int], conv: CountingConvention, threads: int = 1) -> list[int]:
-    """Exact cardinalities of the solution sets selected by ``conv`` at each
-    of ``bounds``, from one stream of pair blocks, dealt to ``threads``
-    threads of this process (the calling thread runs the first share).  numpy
-    releases the GIL in the kernel's passes, so the shares overlap there.
-    The workers' exact totals are summed in worker order: the result does not
-    depend on ``threads``.
+    The block (m, k) has the rows p*q (entrywise) for p, q of exact max m, k
+    (p*q = q*p).  With the orbit representatives r of every m sorted by m
+    (``_orbits``), the rows of the blocks of small side k are r*Q_k over the
+    r of max k..m_max, Q_k the exact-max-k vectors.  s(r)*q = s(r * s^-1(q))
+    for a permutation s of coordinates, and Q_k, primitivity and the kernel
+    count are invariant under s, so r*Q_k stands for r's orbit, weighted by
+    its size.  A row is canonical with its entries sorted, then divided by
+    their gcd, which keeps its half-histogram: c and c/g have the same
+    solutions, a permutation of c permutes the coordinates of each, and
+    z -> -z splits each height's solutions evenly by the sign of any one
+    coordinate.  It is packed into one int64 as digits in ``digits``' base.
     """
-    check_dim(n)
-    for B in bounds:
-        _validate_bound(B)
-    if not isinstance(conv, CountingConvention):
-        raise ValueError("conv must be a CountingConvention")
-    blocks = _pair_blocks(n, max(bounds))
-    threads = max(1, min(threads, len(blocks)))
+    K = np.array([block[2] for block in blocks])
+    # int32 rows: their entries are at most m*k <= B <= 2^30
+    R, sizes = _orbits(n, max(block[1] for block in blocks), primitive)
+    ms = R[:, -1]
+    shells = []  # (block of m minus m, Q_k, first and end representative) per k
+    for b0 in np.flatnonzero(np.diff(K, prepend=0)):
+        k = int(K[b0])
+        Q = _exact_max_vectors(n, k).astype(np.int32)
+        if primitive:
+            Q = Q[_primitive_mask(Q)]
+        # the blocks of k hold m = k, k+1, ..., the last one before index end
+        end = b0 + np.searchsorted(K[b0:], k, side="right")
+        shells.append((b0 - k, Q, *np.searchsorted(ms, [k, blocks[end - 1][1] + 1])))
+    # Room for one incidence per row, filled from the front: the untouched
+    # pages never become resident.  The incidences are a count's largest
+    # arrays: blocks take the smallest type, weights int32 if they fit.
+    size = sum((hi - lo) * len(Q) for _, Q, lo, hi in shells)
+    key, weight = np.empty(size, np.int64), np.empty(size, np.int64)
+    block = np.empty(size, np.min_scalar_type(len(blocks)))
+    used = 0
+    for offset, Q, lo, hi in shells:
+        r_chunk = max(1, _CELL_CHUNK // (len(Q) * (n + 1)))
+        for r in range(lo, hi, r_chunk):
+            reps = slice(r, min(r + r_chunk, hi))
+            # Stable sorts and no matmul: numpy's default int64 sorts and its
+            # integer matmul would load about 0.4 MB more code into every
+            # count command.
+            C = np.sort((R[reps, None, :] * Q).reshape(-1, n + 1), axis=1, kind="stable")
+            C //= np.gcd.reduce(C, axis=1, keepdims=True)
+            packed = (C * digits).sum(axis=1)
+            order = np.argsort(packed, kind="stable")
+            packed = packed[order]
+            owner = np.repeat(ms[reps] + offset, len(Q))[order]
+            new = (packed[1:] != packed[:-1]) | (owner[1:] != owner[:-1])
+            first = np.flatnonzero(np.concatenate([[True], new]))
+            end = used + len(first)
+            key[used:end] = packed[first]
+            block[used:end] = owner[first]
+            weight[used:end] = np.add.reduceat(np.repeat(sizes[reps], len(Q))[order], first)
+            used = end
+    weight = weight[:used]
+    return key[:used], block[:used], weight.astype(np.int32) if weight.max() < 2**31 else weight
+
+
+def _count_pair_block(keys: np.ndarray, Z: int, count: np.ndarray, blocks: np.ndarray, weights: np.ndarray,
+                      digits: np.ndarray, H: np.ndarray) -> None:
+    """Scan one cap group, the packed canonical rows ``keys`` whose blocks'
+    largest cap is Z, with one ``_kernel_rows`` call, and add weight x
+    half-histogram into H[block] for each incidence (block, weight), count[r]
+    of them for row r, in row order; a block of a smaller cap never reads
+    the counts past it.  ``digits`` (ending in the base, 1) unpacks rows."""
+    hist = _kernel_rows((keys[:, None] // digits % digits[-2]).astype(np.int32), Z)
+    rows = np.repeat(np.arange(len(keys), dtype=np.int32), count)
+    chunk = max(1, _CELL_CHUNK // (Z + 1))
+    for lo in range(0, len(rows), chunk):
+        order = np.argsort(blocks[lo : lo + chunk], kind="stable") + lo
+        block = blocks[order]
+        first = np.flatnonzero(np.concatenate([[True], block[1:] != block[:-1]]))
+        H[block[first], : Z + 1] += np.add.reduceat(hist[rows[order]] * weights[order, None], first)
+
+
+def _count_share(shape: tuple[int, int], digits: np.ndarray, groups: list) -> np.ndarray:
+    """One thread's share of the cap groups, summed into its own H, taken by
+    increasing cap and each dropped once scanned: the widest come last."""
+    H = np.zeros(shape, dtype=np.int64)
+    while groups:
+        _count_pair_block(*groups.pop(), digits, H)
+    return H
+
+
+def _mobius_inverse(H: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """prim[..., h] = sum over d | h of mu(d) * H[..., h/d], for h = 1..Z
+    (prim[..., 0] = 0), Z = H.shape[-1] - 1: one exact strided int64 add per
+    squarefree d <= Z, over every row of H at once."""
+    Z = H.shape[-1] - 1
+    prim = np.zeros_like(H)
+    for d in np.flatnonzero(mu[1 : Z + 1]) + 1:
+        prim[..., d::d] += mu[d] * H[..., 1 : Z // d + 1]
+    return prim
+
+
+def _histograms(n: int, blocks: list, primitive: bool, threads: int) -> np.ndarray:
+    """H[i, h] for the block i of the stream and h up to its cap: the z with
+    z_1 >= 1 and max|z| = h, summed over the block's coefficient rows, the
+    half that ``_kernel_rows`` scans (primitive z only, with ``primitive``).
+
+    One stable argsort of ``_canonical_rows``' incidences by packed row
+    makes each canonical row one kernel row, scanned at the largest cap of
+    its blocks (a count at h does not depend on the cap).  Each cap group
+    (``_count_pair_block``) goes to one of ``threads`` shares, largest cells
+    first to the least loaded; the calling thread runs share 0, and their H
+    add up in share order.  Every z of max h is d*z' for its content d and
+    a primitive z' of max h/d, so the primitive H inverts each row.
+    """
+    M, K, Zb = (np.array([block[i] for block in blocks]) for i in (1, 2, 3))
+    # m*k <= B bounds every entry, and the z-grid check at (1, 1), where
+    # Z = B, bounds 2^(n-1)*B^n by 2^25, so a packed row stays below
+    # (2B)^(n+1) <= 2^27*B <= 2^52, well inside int64
+    digits = (int((M * K).max()) + 1) ** np.arange(n, -1, -1, dtype=np.int64)
+    # one statement per permuted array, each dropped once the groups hold their parts
+    key, block, weight = _canonical_rows(n, blocks, primitive, digits)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    block = block[order]
+    weight = weight[order]
+    del order
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    count, cap = np.diff(first, append=len(key)), np.maximum.reduceat(Zb[block], first)
+    # the rows by decreasing cap, each with its run of incidences
+    by_cap = np.argsort(-cap, kind="stable")
+    key, cap, first, count = key[first[by_cap]], cap[by_cap], first[by_cap], count[by_cap]
+    starts = np.flatnonzero(np.concatenate([[True], cap[1:] != cap[:-1], [True]]))
+    groups = []
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        Z, runs = int(cap[lo]), count[lo:hi]
+        at = np.repeat(first[lo:hi] - (np.cumsum(runs) - runs), runs)
+        at += np.arange(len(at))
+        groups.append((int(hi - lo) * Z * (2 * Z) ** (n - 1), key[lo:hi], Z, runs, block[at], weight[at]))
+    del key, block, weight, first, count, cap, by_cap, runs, at
+    threads = max(1, min(threads, len(groups)))
     shares, loads = [[] for _ in range(threads)], [0] * threads
-    for cost, m, k, Z in sorted(blocks, key=lambda block: (-block[0], block[1:])):
-        terms = []  # (bound index, coefficient, z-cap), as in the module docstring
-        for i, B in enumerate(bounds):
-            for a, b in {(m, k), (k, m)}:
-                z1 = _z_cap(B, a, b, Domain.DXY)
-                if z1 and conv.domain is Domain.FULL:
-                    z12 = min(z1, _z_cap(B, a, b, Domain.DYZ))
-                    terms += [(i, 3, z1), (i, -3, z12), (i, 1, min(z12, _z_cap(B, a, b, Domain.DZX)))]
-                else:
-                    terms.append((i, 1, z1))
+    for group in sorted(groups, key=lambda group: -group[0]):
         i = loads.index(min(loads))
-        loads[i] += cost
-        shares[i].append((m, k, Z, terms))
-    payloads = [(n, conv.primitive, len(bounds), sorted(share)) for share in shares]
+        loads[i] += group[0]
+        shares[i].append(group[1:])
+    del groups, group
+    for share in shares:  # by decreasing cap, for _count_share
+        share.sort(key=lambda group: -group[1])
+    shape = (len(blocks), int(Zb.max()) + 1)
     if threads == 1:
-        parts = [_count_blocks(payloads[0])]
+        H = _count_share(shape, digits, shares[0])
     else:
         # Imported here so that importing the CLI loads no thread machinery;
         # the calling thread runs share 0 while the pool runs the others.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            others = pool.map(_count_blocks, payloads[1:])
-            parts = [_count_blocks(payloads[0]), *others]
+            others = [pool.submit(_count_share, shape, digits, share) for share in shares[1:]]
+            H = _count_share(shape, digits, shares[0])
+            for part in others:
+                H += part.result()
+    return _mobius_inverse(H, mobius_sieve(shape[1] - 1)) if primitive else H
+
+
+def _count_stream(n: int, bounds: list[int], conv: CountingConvention, threads: int, blocks: list) -> list[int]:
+    """The counts at ``bounds`` from ``blocks``, the stream of the largest:
+    the terms of the module docstring (cum[Z1] alone for a domain
+    convention) from a few array calls of ``_z_caps`` and one gather.  The
+    sums are exact in int64: a block's rows number at most (n+1)! per orbit
+    representative, so a bound's terms add up to at most 14*(n+1)! times
+    the stream's cells, below 2^63 (``test_int64_sums_stay_exact``)."""
+    cum = np.cumsum(_histograms(n, blocks, conv.primitive, threads), axis=1)
+    M, K = (np.array([block[i] for block in blocks]) for i in (1, 2))
+    two = M != K  # every block, then the other order of each with m > k
+    i = np.concatenate([np.arange(len(blocks)), np.flatnonzero(two)])
+    a, b = np.concatenate([M, K[two]]), np.concatenate([K, M[two]])
+    Bs = np.array(bounds)[:, None]
+    z1 = _z_caps(Bs, a, b, Domain.DXY)
+    if conv.domain is Domain.FULL:
+        z12 = np.minimum(z1, _z_caps(Bs, a, b, Domain.DYZ))
+        z123 = np.minimum(z12, _z_caps(Bs, a, b, Domain.DZX))
+        terms = 3 * cum[i, z1] - 3 * cum[i, z12] + cum[i, z123]
+    else:
+        terms = cum[i, z1]
     weight = 2 ** (2 * n + 3 - len(conv.sign_fix))
-    return [weight * sum(totals) for totals in zip(*parts)]
+    return [weight * total for total in terms.sum(axis=1).tolist()]
+
+
+def count_at_bounds(n: int, bounds: list[int], conv: CountingConvention, threads: int = 1) -> list[int]:
+    """Exact cardinalities of the solution sets selected by ``conv`` at each
+    of ``bounds``, from one stream of pair blocks at the largest, scanned by
+    ``threads`` threads of this process (numpy releases the GIL in the
+    kernel's passes).  The result does not depend on ``threads``."""
+    check_dim(n)
+    for B in bounds:
+        _validate_bound(B)
+    if not isinstance(conv, CountingConvention):
+        raise ValueError("conv must be a CountingConvention")
+    return _count_stream(n, bounds, conv, threads, _pair_blocks(n, max(bounds)))
 
 
 def count_points(n: int, B: int, conv: CountingConvention, threads: int = 1) -> ExactCount:
@@ -594,11 +593,11 @@ def mobius_count(n: int, B: int, sign_fix=frozenset(), threads: int = 1) -> int:
     """
     check_dim(n)
     _validate_bound(B)
-    _pair_blocks(n, B)  # the budget refuses before the O(B) table of g is built
+    blocks = _pair_blocks(n, B)  # the budget refuses before the O(B) table of g is built
     g = _mu_triple_dirichlet(B)
     bounds = sorted({B // t for t in range(1, B + 1) if g[t]})
     conv = CountingConvention(False, frozenset(sign_fix), Domain.FULL)
-    counts = dict(zip(bounds, count_at_bounds(n, bounds, conv, threads)))
+    counts = dict(zip(bounds, _count_stream(n, bounds, conv, threads, blocks)))
     return sum(int(g[t]) * counts[B // t] for t in range(1, B + 1) if g[t])
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -21,16 +22,17 @@ from triprox import (
 from triprox.arith import mobius, mobius_sieve
 from triprox.counting import (
     _check_z_grid,
-    _count_pair_block,
     _exact_max_vectors,
     _first_max_positive,
+    _histograms,
     _in_domain,
     _kernel_rows,
     _mobius_inverse,
     _orbits,
+    _pair_blocks,
     _primitive_mask,
-    _RowTable,
     _z_cap,
+    _z_caps,
     count_at_bounds,
 )
 
@@ -107,14 +109,17 @@ class TestDomainPredicate:
 
     @pytest.mark.parametrize("B", BOUNDS)
     def test_z_cap_is_last_admitted_c(self, B):
+        pairs = [(a, b) for a in range(1, B + 1) for b in range(1, B // a + 1)]
+        a, b = (np.array(v) for v in zip(*pairs))
         for domain in Domain:
-            for a in range(1, B + 1):
-                for b in range(1, B // a + 1):
-                    expected = max(
-                        (c for c in range(1, B // (a * b) + 1) if _in_domain(B, a, b, c, domain)),
-                        default=0,
-                    )
-                    assert _z_cap(B, a, b, domain) == expected
+            expected = [
+                max((c for c in range(1, B // (x * y) + 1) if _in_domain(B, x, y, c, domain)), default=0)
+                for x, y in pairs
+            ]
+            assert [_z_cap(B, x, y, domain) for x, y in pairs] == expected
+            # the lockstep array form, over one bound and over several
+            assert _z_caps(B, a, b, domain).tolist() == expected
+            assert _z_caps(np.array([[B], [B]]), a, b, domain).tolist() == [expected, expected]
 
     @pytest.mark.parametrize("B", BOUNDS)
     def test_matches_real_definition_off_the_boundary(self, B):
@@ -240,15 +245,21 @@ class TestKernelHistogram:
 class TestMobiusInverse:
     @pytest.mark.parametrize("Z", range(1, 61))
     def test_matches_literal_loop(self, Z):
+        # rows padded to one width past their own caps: each row's prefix up
+        # to its cap is the literal inversion of that prefix alone
         rng = np.random.default_rng(Z)
-        hist = rng.integers(-(10**12), 10**12, size=Z + 1)
-        hist[0] = 0
+        caps = [Z, *rng.integers(0, Z + 1, size=4)]
+        H = rng.integers(-(10**12), 10**12, size=(len(caps), Z + 1))
+        H[:, 0] = 0
         mu = mobius_sieve(Z + 7)
-        literal = np.zeros_like(hist)
-        for d in range(1, Z + 1):
-            if mu[d]:
-                literal[d::d] += int(mu[d]) * hist[1 : Z // d + 1]
-        assert _mobius_inverse(hist, mu).tolist() == literal.tolist()
+        prim = _mobius_inverse(H, mu)
+        assert prim.shape == H.shape
+        for row, hist, cap in zip(prim.tolist(), H, caps):
+            literal = np.zeros(cap + 1, dtype=np.int64)
+            for d in range(1, cap + 1):
+                if mu[d]:
+                    literal[d::d] += int(mu[d]) * hist[1 : cap // d + 1]
+            assert row[: cap + 1] == literal.tolist()
 
 
 def _gcd_one(V):
@@ -272,48 +283,62 @@ class TestOrbitReduction:
         ]
 
     @pytest.mark.parametrize("primitive", [False, True])
-    @pytest.mark.parametrize(
-        "n, a, b, Z",
-        [(1, 4, 6, 5), (1, 6, 4, 5), (1, 6, 6, 3),
-         (2, 2, 5, 4), (2, 5, 2, 4), (2, 4, 4, 3), (2, 1, 6, 2),
-         (3, 2, 4, 2), (3, 4, 2, 2), (3, 3, 3, 2)],
-    )
-    def test_block_equals_full_row_sum(self, n, a, b, Z, primitive):
-        Q = _exact_max_vectors(n, min(a, b))
-        if primitive:
-            Q = _gcd_one(Q)
-        mu = mobius_sieve(Z) if primitive else None
-        block = _count_pair_block(_orbits(n, max(a, b), primitive), Q, Z, mu, _RowTable(n, a * b + 1))
-        assert block.tolist() == self.literal_block(n, a, b, Z, primitive)
-        assert block.sum() > 0
+    @pytest.mark.parametrize("n, B", [(1, 40), (1, 7), (1, 2000), (2, 30), (2, 8), (3, 9), (3, 4)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_block_equals_full_row_sum(self, n, B, primitive, threads):
+        # each row of H, up to its block's cap, is the block's literal row sum
+        # (n=1, B=2000 has 419 blocks, past 8-bit block indices)
+        blocks = _pair_blocks(n, B)
+        H = _histograms(n, blocks, primitive, threads)
+        assert H.shape == (len(blocks), max(Z for _, _, _, Z in blocks) + 1)
+        total = 0
+        for row, (_, m, k, Z) in zip(H.tolist(), blocks):
+            assert row[: Z + 1] == self.literal_block(n, m, k, Z, primitive)
+            total += sum(row[: Z + 1])
+        assert total > 0
 
     @pytest.mark.parametrize("primitive", [False, True])
-    @pytest.mark.parametrize("n, blocks", [(1, [(5, 5), (6, 4), (4, 3), (6, 2)]),
-                                           (2, [(3, 2), (4, 2), (2, 2), (6, 1)]),
-                                           (3, [(2, 2), (4, 2), (3, 1)])])
-    def test_blocks_read_rows_that_earlier_blocks_scanned(self, n, blocks, primitive):
-        # one table across blocks taken by decreasing cap, as a worker does:
-        # a later block reads shared rows as prefixes of longer histograms
-        table = _RowTable(n, max(m * k for m, k in blocks) + 1)
-        mu = mobius_sieve(8) if primitive else None
-        for Z, (m, k) in zip(range(8, 0, -2), blocks):
-            Q = _exact_max_vectors(n, k)
-            if primitive:
-                Q = _gcd_one(Q)
-            block = _count_pair_block(_orbits(n, m, primitive), Q, Z, mu, table)
-            assert block.tolist() == self.literal_block(n, m, k, Z, primitive)
-        assert len(table.keys) > 1
+    @pytest.mark.parametrize("n, B", [(1, 60), (2, 40), (3, 10)])
+    def test_blocks_read_rows_that_earlier_blocks_scanned(self, n, B, primitive, monkeypatch):
+        # a canonical row is scanned once, at the largest cap of its blocks,
+        # and a block of a smaller cap reads the prefix of its histogram
+        scanned = {}
+
+        def counted(C, Z):
+            for row in map(tuple, C.tolist()):
+                scanned[row] = Z
+            return _kernel_rows(C, Z)
+
+        monkeypatch.setattr(counting, "_kernel_rows", counted)
+        blocks = _pair_blocks(n, B)
+        H = _histograms(n, blocks, primitive, 1)
+        below = 0
+        for row, (_, m, k, Z) in zip(H.tolist(), blocks):
+            assert row[: Z + 1] == self.literal_block(n, m, k, Z, primitive)
+            below += any(scanned[r] > Z for r in self.canonical_rows(n, m, k, primitive))
+        assert below > 0
+
+    @staticmethod
+    def canonical_rows(n, m, k, primitive):
+        P, Q = _exact_max_vectors(n, m), _exact_max_vectors(n, k)
+        if primitive:
+            P, Q = _gcd_one(P), _gcd_one(Q)
+        C = np.sort((P[:, None, :] * Q[None, :, :]).reshape(-1, n + 1), axis=1)
+        return set(map(tuple, (C // np.gcd.reduce(C, axis=1, keepdims=True)).tolist()))
 
     @pytest.mark.parametrize("primitive", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_weights_are_orbit_sizes(self, n, primitive):
+        # one build for every max up to 7, sorted by the max (the last entry)
+        R, sizes = _orbits(n, 7, primitive)
+        assert (np.diff(R[:, -1]) >= 0).all() and (np.diff(R, axis=1) >= 0).all()
         for m in range(1, 8):
             V = _exact_max_vectors(n, m)
             if primitive:
                 V = _gcd_one(V)
             orbits = Counter(tuple(sorted(v)) for v in V.tolist())
-            R, sizes = _orbits(n, m, primitive)
-            reps = dict(zip(map(tuple, R.tolist()), sizes.tolist()))
+            ends = R[:, -1] == m
+            reps = dict(zip(map(tuple, R[ends].tolist()), sizes[ends].tolist()))
             assert reps == orbits
             assert sum(reps.values()) == len(V)
 
@@ -356,22 +381,18 @@ class TestCountPoints:
         single = count_points(2, 12, conv, threads=1).count
         assert count_points(2, 12, conv, threads=threads).count == single
 
-    @pytest.mark.parametrize("name", ["E3", "primitive"])
-    def test_one_pair_block_per_unordered_magnitude_pair(self, name, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return _count_pair_block(*args)
-
-        monkeypatch.setattr("triprox.counting._count_pair_block", counted)
-        count_points(2, 240, NAMED_CONVENTIONS[name], threads=1)
-
+    @pytest.mark.parametrize("n, B", [(2, 240), (3, 30)])
+    def test_one_pair_block_per_unordered_magnitude_pair(self, n, B):
+        # the stream: every unordered pair with an order in DXY, by k and then
+        # by m from k, at the cap B // (m*k), which DXY leaves whole
         def in_dxy(a, b):
-            return a * b <= 240 and a**3 <= 240 and (a * b) ** 3 <= 240**2
+            return a * b <= B and a**3 <= B and (a * b) ** 3 <= B**2
 
-        blocks = [(m, k) for m in range(1, 241) for k in range(1, m + 1) if in_dxy(m, k) or in_dxy(k, m)]
-        assert len(calls) == len(blocks) > 0
+        blocks = [(m, k, Z) for _, m, k, Z in _pair_blocks(n, B)]
+        literal = [(m, k, B // (m * k)) for k in range(1, B + 1) for m in range(k, B + 1)
+                   if in_dxy(m, k) or in_dxy(k, m)]
+        assert blocks == literal
+        assert len(blocks) > 0
 
     def test_thread_count_invariance(self):
         conv = NAMED_CONVENTIONS["primitive"]
@@ -382,42 +403,96 @@ class TestCountPoints:
     @pytest.mark.parametrize("name", ["primitive", "all", "E1", "E3"])
     @pytest.mark.parametrize("n, B", [(2, 120), (3, 30)])
     def test_thread_count_invariance_where_row_tables_differ(self, n, B, name):
-        # each worker scans the canonical rows of its own share, so its table
-        # depends on the thread count; the counts must not
+        # the cap groups are dealt to as many shares as threads, so each
+        # share's H depends on the thread count; the counts must not
         bounds = [B, B // 2, B // 3]
         counts = [count_at_bounds(n, bounds, NAMED_CONVENTIONS[name], threads=t) for t in (1, 2, 3)]
         assert counts[0] == counts[1] == counts[2]
         assert min(counts[0]) > 0
 
-    def test_each_canonical_row_is_scanned_once(self, monkeypatch):
-        # n=2, B=120, primitive, one worker: the rows handed to the kernel are
-        # the distinct canonical forms (sorted, divided by the gcd) of every
-        # coefficient row x_i*y_i of the stream's pair blocks
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n, B, primitive", [(2, 120, True), (3, 30, False)])
+    def test_each_canonical_row_is_scanned_once(self, n, B, primitive, threads, monkeypatch):
+        # the rows handed to the kernel are the distinct canonical forms
+        # (sorted, divided by the gcd) of every coefficient row x_i*y_i of the
+        # stream's pair blocks, each once, at the largest cap of its blocks,
+        # at every thread count: n=2 for count_points, n=3 for mobius_count
         scanned = []
 
         def counted(C, Z):
-            scanned.append(len(C))
+            scanned.extend((row, Z) for row in map(tuple, C.tolist()))
+            return _kernel_rows(C, Z)
+
+        monkeypatch.setattr("triprox.counting._kernel_rows", counted)
+        if primitive:
+            assert count_points(n, B, NAMED_CONVENTIONS["primitive"], threads=threads).count == 104027904
+        else:
+            assert mobius_count(n, B, threads=threads) == 950859264
+        caps, _ = literal_canonical_caps(n, B, primitive)
+        assert len(scanned) == len(dict(scanned)) == len(caps) > 0
+        assert dict(scanned) == caps
+
+    def test_one_kernel_call_per_cap_group(self, monkeypatch):
+        # n=2, B=120: one kernel call per distinct cap of the canonical rows
+        # (16), not one per pair block (44)
+        calls = []
+
+        def counted(C, Z):
+            calls.append(Z)
             return _kernel_rows(C, Z)
 
         monkeypatch.setattr("triprox.counting._kernel_rows", counted)
         assert count_points(2, 120, NAMED_CONVENTIONS["primitive"], threads=1).count == 104027904
+        caps, blocks = literal_canonical_caps(2, 120, True)
+        assert sorted(calls) == sorted(set(caps.values()))
+        assert len(calls) < blocks
 
-        def in_dxy(a, b):
-            return a * b <= 120 and a**3 <= 120 and (a * b) ** 3 <= 120**2
+    def test_int64_sums_stay_exact(self):
+        # A block's rows number at most (n+1)! per orbit representative, so
+        # every sum of a count is at most 14*(n+1)! times the stream's cells
+        # (2 orders x |3| + |-3| + |1|).  For n <= 10 the cell budget keeps
+        # that below 2^63; for n >= 11 the z-grid budget admits only B <= 2.
+        assert 14 * math.factorial(11) * counting._CELL_BUDGET < 2**63
+        for n in range(11, 40):
+            with pytest.raises(BudgetExceededError):
+                _pair_blocks(n, 3)
+            for B in (1, 2):
+                try:
+                    blocks = _pair_blocks(n, B)
+                except BudgetExceededError:
+                    continue
 
-        def shell(a):
-            return [v for v in itertools.product(range(1, a + 1), repeat=3) if max(v) == a and math.gcd(*v) == 1]
+                def rows(a):
+                    return a ** (n + 1) - (a - 1) ** (n + 1)
 
-        canonical = set()
-        for m in range(1, 121):
-            for k in range(1, m + 1):
-                if in_dxy(m, k) or in_dxy(k, m):
-                    for p in shell(m):
-                        for q in shell(k):
-                            row = sorted(u * v for u, v in zip(p, q))
-                            g = math.gcd(*row)
-                            canonical.add(tuple(v // g for v in row))
-        assert sum(scanned) == len(canonical) > 0
+                assert 14 * sum(rows(m) * rows(k) * Z * (2 * Z) ** (n - 1) for _, m, k, Z in blocks) < 2**63
+
+
+@functools.cache
+def literal_canonical_caps(n, B, primitive):
+    """Every canonical row of the pair blocks at (n, B), enumerated
+    literally, with the largest z-cap of the blocks that hold it; and the
+    number of blocks."""
+    def in_dxy(a, b):
+        return a * b <= B and a**3 <= B and (a * b) ** 3 <= B**2
+
+    @functools.cache
+    def shell(a):
+        return [v for v in itertools.product(range(1, a + 1), repeat=n + 1)
+                if max(v) == a and (not primitive or math.gcd(*v) == 1)]
+
+    caps, blocks = {}, 0
+    for m in range(1, B + 1):
+        for k in range(1, m + 1):
+            if in_dxy(m, k) or in_dxy(k, m):
+                blocks += 1
+                for p in shell(m):
+                    for q in shell(k):
+                        row = sorted(u * v for u, v in zip(p, q))
+                        g = math.gcd(*row)
+                        row = tuple(v // g for v in row)
+                        caps[row] = max(caps.get(row, 0), B // (m * k))
+    return caps, blocks
 
 
 class TestGoldenCounts:

@@ -66,22 +66,28 @@ def test_only_delta_loads_scipy(argv, loads_scipy):
 
 
 def test_count_worker_imports_nothing():
-    # _count_blocks is what each count worker thread runs; a module it
-    # imports lazily (numpy.ma behind np.unique, say) is paid by every count
-    # command, inside the count's own time.
-    # The payloads come from the planner, with the worker stubbed out.
+    # _count_share is what each count worker thread runs; a module it, or
+    # the planning and summing around it, imports lazily (numpy.ma behind
+    # np.unique, say) is paid by every count command, inside its own time.
+    # The counts run with the worker stubbed out, and the worker then runs
+    # on the shares they dealt.
     code = ("import json, sys, triprox.cli\n"
+            "import numpy as np\n"
             "import triprox.counting as counting\n"
             "from triprox.counting import NAMED_CONVENTIONS, count_points, mobius_count\n"
-            "worker, payloads = counting._count_blocks, []\n"
-            "counting._count_blocks = lambda p: payloads.append(p) or [0] * p[2]\n"
+            "worker, payloads = counting._count_share, []\n"
+            "def stub(shape, digits, groups):\n"
+            "    payloads.append((shape, digits, groups))\n"
+            "    return np.zeros(shape, dtype=np.int64)\n"
+            "counting._count_share = stub\n"
+            "before = set(sys.modules)\n"
             "count_points(3, 30, NAMED_CONVENTIONS['primitive'])\n"
             "count_points(3, 30, NAMED_CONVENTIONS['E3'])\n"
             "mobius_count(3, 30)\n"
-            "before = set(sys.modules)\n"
+            "groups = [len(p[2]) for p in payloads]\n"
             "for p in payloads:\n"
-            "    worker(p)\n"
-            "print(json.dumps([[p[2] for p in payloads], sorted(set(sys.modules) - before)]))")
-    nbounds, imported = run_fresh(code)
-    assert nbounds[:2] == [1, 1] and nbounds[2] > 1
+            "    worker(*p)\n"
+            "print(json.dumps([groups, sorted(set(sys.modules) - before)]))")
+    groups, imported = run_fresh(code)
+    assert len(groups) == 3 and min(groups) > 0
     assert imported == []
