@@ -16,20 +16,20 @@ Two independent implementations share one contract:
   is monotone in c): Z1 for DXY, Z12 = min(Z1, DYZ cap), Z123 = min(Z12,
   DZX cap).  A domain convention counts |E1|.
 
-  A count makes one stream of pair blocks (``_pair_blocks``) at its
-  largest bound, one per unordered pair of magnitudes (DXY and its caps
-  shrink with B), and one batched pass (``_histograms``) makes row i of a
-  matrix H block i's histogram by exact max|z| over its coefficient rows
-  x_i*y_i.  The pass scans each distinct row once, in canonical form and at
-  the largest cap of its blocks, with one ``_kernel_rows`` call per cap (at
-  n=2, B=120 the 44 blocks hold 6,498 rows; 16 calls scan 2,106), spread
-  over the count's threads.  Each (bound, order of the pair) of a block adds
-  3*cum[Z1] - 3*cum[Z12] + cum[Z123] of its row's prefix sums: one bound
-  for ``count_points``, several for ``count_at_bounds`` (``compare``), and
-  every floor(B/t) its Mobius sum reads for ``mobius_count``.  Signs enter
-  through one weight: with x, y, z positive and z_1 >= 1 (negation flips
-  the sign-fix predicate) each block stands for 2^(2n+3) signed solutions,
-  halved once per sign-fixed vector.
+  A count makes one stream of pair blocks (``_pair_blocks``) at its largest
+  bound, one per unordered pair of magnitudes (DXY and its caps shrink with
+  B), and one batched pass (``_histograms``) makes each block's histogram by
+  exact max|z| over its coefficient rows x_i*y_i, up to its cap, one segment
+  of a flat array H.  The pass scans each distinct row once, in canonical form
+  and at the largest cap of its blocks, with one ``_kernel_rows`` call per
+  cap (at n=2, B=120 the 44 blocks hold 6,498 rows; 16 calls scan 2,106),
+  spread over the count's threads.  Each (bound, order of the pair) of a
+  block adds 3*cum[Z1] - 3*cum[Z12] + cum[Z123] of its segment's prefix sums:
+  one bound for ``count_points``, several for ``count_at_bounds``
+  (``compare``), and every floor(B/t) its Mobius sum reads for
+  ``mobius_count``.  Signs enter through one weight: with x, y, z positive and
+  z_1 >= 1 (negation flips the sign-fix predicate) each block stands for
+  2^(2n+3) signed solutions, halved once per sign-fixed vector.
 
 * ``count_points_oracle`` -- a deliberately naive scan that enumerates signed
   coordinate tuples directly, tests the trilinear sum literally, and applies
@@ -58,8 +58,9 @@ _MAX_BOUND = 2**30
 
 # Largest number of cells in one array of the vectorized kernel (rows x z
 # cells of one piece, unless one z_1 value of one row is larger), of a chunk
-# of coefficient rows (rows x (n+1)) or of a scatter into H (incidences x
-# (Z+1)): 128 KiB per float32 kernel buffer and 256 KiB per int64 array.
+# of coefficient rows (rows x (n+1)), of a scatter into H (incidences x
+# (Z+1)) or of the terms read from H (bounds x block orders): 128 KiB per
+# float32 kernel buffer and 256 KiB per int64 array.
 # Every worker thread of a count holds its own, in one process, and the
 # benchmark's peak RSS counts them together.
 _CELL_CHUNK = 1 << 15
@@ -423,28 +424,33 @@ def _canonical_rows(n: int, blocks: list, primitive: bool, digits: np.ndarray):
 
 
 def _count_pair_block(keys: np.ndarray, Z: int, count: np.ndarray, blocks: np.ndarray, weights: np.ndarray,
-                      digits: np.ndarray, H: np.ndarray) -> None:
+                      digits: np.ndarray, start: np.ndarray, caps: np.ndarray, H: np.ndarray) -> None:
     """Scan one cap group, the packed canonical rows ``keys`` whose blocks'
     largest cap is Z, with one ``_kernel_rows`` call, and add weight x
-    half-histogram into H[block] for each incidence (block, weight), count[r]
-    of them for row r, in row order; a block of a smaller cap never reads
-    the counts past it.  ``digits`` (ending in the base, 1) unpacks rows."""
+    half-histogram, up to the block's own cap, into the block's segment of
+    H for each incidence (block, weight), count[r] of them for row r, in row
+    order; block b's segment is H[start[b] : start[b] + caps[b] + 1].
+    ``digits`` (ending in the base, 1) unpacks rows."""
     hist = _kernel_rows((keys[:, None] // digits % digits[-2]).astype(np.int32), Z)
     rows = np.repeat(np.arange(len(keys), dtype=np.int32), count)
+    h = np.arange(Z + 1)
     chunk = max(1, _CELL_CHUNK // (Z + 1))
     for lo in range(0, len(rows), chunk):
         order = np.argsort(blocks[lo : lo + chunk], kind="stable") + lo
         block = blocks[order]
         first = np.flatnonzero(np.concatenate([[True], block[1:] != block[:-1]]))
-        H[block[first], : Z + 1] += np.add.reduceat(hist[rows[order]] * weights[order, None], first)
+        sums = np.add.reduceat(hist[rows[order]] * weights[order, None], first)
+        block = block[first]  # distinct, so the indexed add below is exact
+        keep = h <= caps[block, None]
+        H[(start[block, None] + h)[keep]] += sums[keep]
 
 
-def _count_share(shape: tuple[int, int], digits: np.ndarray, groups: list) -> np.ndarray:
+def _count_share(size: int, digits: np.ndarray, start: np.ndarray, caps: np.ndarray, groups: list) -> np.ndarray:
     """One thread's share of the cap groups, summed into its own H, taken by
     increasing cap and each dropped once scanned: the widest come last."""
-    H = np.zeros(shape, dtype=np.int64)
+    H = np.zeros(size, dtype=np.int64)
     while groups:
-        _count_pair_block(*groups.pop(), digits, H)
+        _count_pair_block(*groups.pop(), digits, start, caps, H)
     return H
 
 
@@ -459,19 +465,18 @@ def _mobius_inverse(H: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return prim
 
 
-def _histograms(n: int, blocks: list, primitive: bool, threads: int) -> np.ndarray:
-    """H[i, h] for the block i of the stream and h up to its cap: the z with
-    z_1 >= 1 and max|z| = h, summed over the block's coefficient rows, the
-    half that ``_kernel_rows`` scans (primitive z only, with ``primitive``).
-
-    One stable argsort of ``_canonical_rows``' incidences by packed row
-    makes each canonical row one kernel row, scanned at the largest cap of
-    its blocks (a count at h does not depend on the cap).  Each cap group
-    (``_count_pair_block``) goes to one of ``threads`` shares, largest cells
-    first to the least loaded; the calling thread runs share 0, and their H
-    add up in share order.  Every z of max h is d*z' for its content d and
-    a primitive z' of max h/d, so the primitive H inverts each row.
-    """
+def _histograms(n: int, blocks: list, primitive: bool, threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H, start): H[start[i] + h], h <= Z_i, counts the z with z_1 >= 1 and
+    max|z| = h over the coefficient rows of the block i of the stream, the
+    half that ``_kernel_rows`` scans (primitive z only, with ``primitive``);
+    the segments lie end to end by cap.  One stable argsort of
+    ``_canonical_rows``' incidences by packed row makes each canonical row
+    one kernel row, scanned at the largest cap of its blocks (a count at h
+    does not depend on the cap).  The cap groups (``_count_pair_block``) are
+    dealt to ``threads`` shares, largest cells first; the calling thread
+    runs share 0, and their H add up in share order.  Every z of max h is
+    d*z' for its content d and a primitive z' of max h/d, so a primitive
+    count inverts each cap's segments, one matrix, at once."""
     M, K, Zb = (np.array([block[i] for block in blocks]) for i in (1, 2, 3))
     # m*k <= B bounds every entry, and the z-grid check at (1, 1), where
     # Z = B, bounds 2^(n-1)*B^n by 2^25, so a packed row stays below
@@ -498,52 +503,60 @@ def _histograms(n: int, blocks: list, primitive: bool, threads: int) -> np.ndarr
         groups.append((int(hi - lo) * Z * (2 * Z) ** (n - 1), key[lo:hi], Z, runs, block[at], weight[at]))
     del key, block, weight, first, count, cap, by_cap, runs, at
     threads = max(1, min(threads, len(groups)))
-    shares, loads = [[] for _ in range(threads)], [0] * threads
-    for group in sorted(groups, key=lambda group: -group[0]):
-        i = loads.index(min(loads))
-        loads[i] += group[0]
-        shares[i].append(group[1:])
-    del groups, group
-    for share in shares:  # by decreasing cap, for _count_share
-        share.sort(key=lambda group: -group[1])
-    shape = (len(blocks), int(Zb.max()) + 1)
+    groups.sort(key=lambda group: -group[0])  # dealt round the shares by decreasing cells
+    shares = [sorted((group[1:] for group in groups[i::threads]), key=lambda group: -group[1]) for i in range(threads)]
+    del groups
+    order = np.argsort(Zb, kind="stable")
+    ends = np.cumsum(Zb[order] + 1)
+    start = (ends - Zb[order] - 1)[np.argsort(order, kind="stable")]
+    args = (int(ends[-1]), digits, start, Zb)
     if threads == 1:
-        H = _count_share(shape, digits, shares[0])
+        H = _count_share(*args, shares[0])
     else:
         # Imported here so that importing the CLI loads no thread machinery;
         # the calling thread runs share 0 while the pool runs the others.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            others = [pool.submit(_count_share, shape, digits, share) for share in shares[1:]]
-            H = _count_share(shape, digits, shares[0])
+            others = [pool.submit(_count_share, *args, share) for share in shares[1:]]
+            H = _count_share(*args, shares[0])
             for part in others:
                 H += part.result()
-    return _mobius_inverse(H, mobius_sieve(shape[1] - 1)) if primitive else H
+    if primitive:
+        mu, caps, lo = mobius_sieve(int(Zb.max())), Zb[order].tolist() + [0], 0
+        for j, hi in enumerate(ends.tolist()):
+            if caps[j + 1] != caps[j]:  # the last block of its cap: H[lo:hi] holds that cap's blocks
+                H[lo:hi] = _mobius_inverse(H[lo:hi].reshape(-1, caps[j] + 1), mu).reshape(-1)
+                lo = hi
+    return H, start
 
 
 def _count_stream(n: int, bounds: list[int], conv: CountingConvention, threads: int, blocks: list) -> list[int]:
     """The counts at ``bounds`` from ``blocks``, the stream of the largest:
     the terms of the module docstring (cum[Z1] alone for a domain
-    convention) from a few array calls of ``_z_caps`` and one gather.  The
-    sums are exact in int64: a block's rows number at most (n+1)! per orbit
-    representative, so a bound's terms add up to at most 14*(n+1)! times
-    the stream's cells, below 2^63 (``test_int64_sums_stay_exact``)."""
-    cum = np.cumsum(_histograms(n, blocks, conv.primitive, threads), axis=1)
+    convention), read with ``_z_caps`` and one gather per chunk of about
+    _CELL_CHUNK terms.  Exact in int64: a block's rows number at most (n+1)!
+    per orbit representative, so a bound's terms add up to at most
+    14*(n+1)! times the stream's cells, below 2^63 (``test_int64_sums_stay_exact``)."""
+    H, start = _histograms(n, blocks, conv.primitive, threads)
+    cum = np.cumsum(H)  # cum[start[i]] sums the segments before block i (no z has max 0)
     M, K = (np.array([block[i] for block in blocks]) for i in (1, 2))
     two = M != K  # every block, then the other order of each with m > k
-    i = np.concatenate([np.arange(len(blocks)), np.flatnonzero(two)])
+    at = start[np.concatenate([np.arange(len(blocks)), np.flatnonzero(two)])]
     a, b = np.concatenate([M, K[two]]), np.concatenate([K, M[two]])
-    Bs = np.array(bounds)[:, None]
-    z1 = _z_caps(Bs, a, b, Domain.DXY)
-    if conv.domain is Domain.FULL:
-        z12 = np.minimum(z1, _z_caps(Bs, a, b, Domain.DYZ))
-        z123 = np.minimum(z12, _z_caps(Bs, a, b, Domain.DZX))
-        terms = 3 * cum[i, z1] - 3 * cum[i, z12] + cum[i, z123]
-    else:
-        terms = cum[i, z1]
+    totals, per = [], max(1, _CELL_CHUNK // len(a))
+    for lo in range(0, len(bounds), per):
+        Bs = np.array(bounds[lo : lo + per])[:, None]
+        z1 = _z_caps(Bs, a, b, Domain.DXY)
+        if conv.domain is Domain.FULL:
+            z12 = np.minimum(z1, _z_caps(Bs, a, b, Domain.DYZ))
+            z123 = np.minimum(z12, _z_caps(Bs, a, b, Domain.DZX))
+            terms = 3 * cum[at + z1] - 3 * cum[at + z12] + cum[at + z123] - cum[at]
+        else:
+            terms = cum[at + z1] - cum[at]
+        totals += terms.sum(axis=1).tolist()
     weight = 2 ** (2 * n + 3 - len(conv.sign_fix))
-    return [weight * total for total in terms.sum(axis=1).tolist()]
+    return [weight * total for total in totals]
 
 
 def count_at_bounds(n: int, bounds: list[int], conv: CountingConvention, threads: int = 1) -> list[int]:
@@ -570,20 +583,6 @@ def count_points(n: int, B: int, conv: CountingConvention, threads: int = 1) -> 
 # ---------------------------------------------------------------------------
 
 
-def _mu_triple_dirichlet(B: int) -> np.ndarray:
-    """g[t] = sum over k*l*m = t of mu(k)*mu(l)*mu(m), for t = 1..B."""
-    mu = mobius_sieve(B).astype(np.int64)
-    h = np.zeros(B + 1, dtype=np.int64)
-    for k in range(1, B + 1):
-        if mu[k]:
-            h[k::k] += mu[k] * mu[1 : B // k + 1]
-    g = np.zeros(B + 1, dtype=np.int64)
-    for k in range(1, B + 1):
-        if mu[k]:
-            g[k::k] += mu[k] * h[1 : B // k + 1]
-    return g
-
-
 def mobius_count(n: int, B: int, sign_fix=frozenset(), threads: int = 1) -> int:
     """Primitive count reconstructed by the triple Mobius sum
     sum_{k,l,m} mu(k)mu(l)mu(m) * count(H*klm <= B), FULL domain.
@@ -594,7 +593,8 @@ def mobius_count(n: int, B: int, sign_fix=frozenset(), threads: int = 1) -> int:
     check_dim(n)
     _validate_bound(B)
     blocks = _pair_blocks(n, B)  # the budget refuses before the O(B) table of g is built
-    g = _mu_triple_dirichlet(B)
+    mu = mobius_sieve(B).astype(np.int64)
+    g = _mobius_inverse(_mobius_inverse(mu, mu), mu)  # g(t): sum of mu(k)mu(l)mu(m) over klm = t
     bounds = sorted({B // t for t in range(1, B + 1) if g[t]})
     conv = CountingConvention(False, frozenset(sign_fix), Domain.FULL)
     counts = dict(zip(bounds, _count_stream(n, bounds, conv, threads, blocks)))

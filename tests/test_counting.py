@@ -286,15 +286,15 @@ class TestOrbitReduction:
     @pytest.mark.parametrize("n, B", [(1, 40), (1, 7), (1, 2000), (2, 30), (2, 8), (3, 9), (3, 4)])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_block_equals_full_row_sum(self, n, B, primitive, threads):
-        # each row of H, up to its block's cap, is the block's literal row sum
-        # (n=1, B=2000 has 419 blocks, past 8-bit block indices)
+        # each block's segment of H, up to its cap, is the block's literal
+        # row sum (n=1, B=2000 has 419 blocks, past 8-bit block indices)
         blocks = _pair_blocks(n, B)
-        H = _histograms(n, blocks, primitive, threads)
-        assert H.shape == (len(blocks), max(Z for _, _, _, Z in blocks) + 1)
+        H, start = _histograms(n, blocks, primitive, threads)
+        assert len(H) == sum(Z + 1 for _, _, _, Z in blocks)
         total = 0
-        for row, (_, m, k, Z) in zip(H.tolist(), blocks):
-            assert row[: Z + 1] == self.literal_block(n, m, k, Z, primitive)
-            total += sum(row[: Z + 1])
+        for at, (_, m, k, Z) in zip(start.tolist(), blocks):
+            assert H[at : at + Z + 1].tolist() == self.literal_block(n, m, k, Z, primitive)
+            total += int(H[at : at + Z + 1].sum())
         assert total > 0
 
     @pytest.mark.parametrize("primitive", [False, True])
@@ -311,12 +311,30 @@ class TestOrbitReduction:
 
         monkeypatch.setattr(counting, "_kernel_rows", counted)
         blocks = _pair_blocks(n, B)
-        H = _histograms(n, blocks, primitive, 1)
+        H, start = _histograms(n, blocks, primitive, 1)
         below = 0
-        for row, (_, m, k, Z) in zip(H.tolist(), blocks):
-            assert row[: Z + 1] == self.literal_block(n, m, k, Z, primitive)
+        for at, (_, m, k, Z) in zip(start.tolist(), blocks):
+            assert H[at : at + Z + 1].tolist() == self.literal_block(n, m, k, Z, primitive)
             below += any(scanned[r] > Z for r in self.canonical_rows(n, m, k, primitive))
         assert below > 0
+
+    def test_histograms_hold_each_block_to_its_own_cap(self):
+        # n=1, B=4096: the (1, 1) block's cap is B, and most caps are small;
+        # one width for every block would take len(blocks) x (B+1) int64
+        # cells (69.7 MB traced), each block's own caps take 2.5 MB in all
+        import tracemalloc
+
+        B = 4096
+        blocks = _pair_blocks(1, B)
+        one_width = len(blocks) * (B + 1) * 8
+        tracemalloc.start()
+        try:
+            count = count_points(1, B, NAMED_CONVENTIONS["primitive"]).count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == count_points(1, B, NAMED_CONVENTIONS["primitive"], threads=2).count > 0
+        assert peak < one_width / 8
 
     @staticmethod
     def canonical_rows(n, m, k, primitive):
@@ -368,12 +386,17 @@ class TestCountPoints:
         with pytest.raises(ValueError):
             count_points(2, 0, ALL)
 
+    @pytest.mark.parametrize("chunk", [None, 40])
     @pytest.mark.parametrize("name", ["all", "primitive-signfixed", "E", "E2"])
-    def test_one_stream_gives_every_smaller_bound(self, name):
-        # the blocks and z-caps of B=12 serve every smaller bound
+    def test_one_stream_gives_every_smaller_bound(self, name, chunk, monkeypatch):
+        # the blocks and z-caps of B=12 serve every smaller bound, also when
+        # a small _CELL_CHUNK reads the terms of 4 bounds at a time (10
+        # block orders)
         conv = NAMED_CONVENTIONS[name]
-        counts = count_at_bounds(2, [12, *range(1, 12)], conv, threads=1)
-        assert counts == [count_points(2, B, conv).count for B in (12, *range(1, 12))]
+        expected = [count_points(2, B, conv).count for B in (12, *range(1, 12))]
+        if chunk:
+            monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
+        assert count_at_bounds(2, [12, *range(1, 12)], conv, threads=1) == expected
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_nonpositive_threads_run_single_worker(self, threads):

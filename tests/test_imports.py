@@ -76,15 +76,15 @@ def test_count_worker_imports_nothing():
             "import triprox.counting as counting\n"
             "from triprox.counting import NAMED_CONVENTIONS, count_points, mobius_count\n"
             "worker, payloads = counting._count_share, []\n"
-            "def stub(shape, digits, groups):\n"
-            "    payloads.append((shape, digits, groups))\n"
-            "    return np.zeros(shape, dtype=np.int64)\n"
+            "def stub(size, digits, start, caps, groups):\n"
+            "    payloads.append((size, digits, start, caps, groups))\n"
+            "    return np.zeros(size, dtype=np.int64)\n"
             "counting._count_share = stub\n"
             "before = set(sys.modules)\n"
             "count_points(3, 30, NAMED_CONVENTIONS['primitive'])\n"
             "count_points(3, 30, NAMED_CONVENTIONS['E3'])\n"
             "mobius_count(3, 30)\n"
-            "groups = [len(p[2]) for p in payloads]\n"
+            "groups = [len(p[4]) for p in payloads]\n"
             "for p in payloads:\n"
             "    worker(*p)\n"
             "print(json.dumps([groups, sorted(set(sys.modules) - before)]))")
