@@ -105,9 +105,8 @@ def _mc_blocks(samples: int, dims: int, seed: int, tag: int, f_of_block):
     f_of_block maps an (m, dims) array to an (m,) array of nonnegative values,
     row by row.
     """
-    # Imported here so that importing the CLI loads no thread machinery, and
-    # the pool is joined before the call returns (compare's count threads
-    # have finished before it starts).
+    # Imported here so that importing the CLI loads no thread machinery; the
+    # pool is joined before the call returns.
     from concurrent.futures import ThreadPoolExecutor
 
     _check_mc_inputs(samples, seed)

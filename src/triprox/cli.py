@@ -78,11 +78,11 @@ def cmd_count(args) -> int:
     for bounds in [[B] for B in args.bound] if conv is None else [args.bound]:
         t0 = time.perf_counter()
         if conv is None:
-            values = [mobius_count(args.n, bounds[0], frozenset(), threads=args.threads)]
+            values = [mobius_count(args.n, bounds[0], frozenset())]
         elif len(bounds) == 1:
-            values = [count_points(args.n, bounds[0], conv, threads=args.threads).count]
+            values = [count_points(args.n, bounds[0], conv).count]
         else:
-            values = count_at_bounds(args.n, bounds, conv, threads=args.threads)
+            values = count_at_bounds(args.n, bounds, conv)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         for B, value in zip(bounds, values):
             _append_record(args.out, "count",
@@ -154,7 +154,7 @@ def cmd_compare(args) -> int:
     if any(B < 2 for B in args.bounds):
         raise ValueError("compare requires bounds >= 2 (log(B)^2 vanishes at B = 1)")
     pred = predicted_constant(args.n, args.p_max, args.t_max, args.mc_samples, args.seed)
-    counts = count_at_bounds(args.n, args.bounds, NAMED_CONVENTIONS["primitive"], args.threads)
+    counts = count_at_bounds(args.n, args.bounds, NAMED_CONVENTIONS["primitive"])
     rows = []
     for B, count in zip(args.bounds, counts):
         r = count / (B**args.n * math.log(B) ** 2)
@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--convention", default="all",
                          choices=sorted(NAMED_CONVENTIONS) + ["mobius"],
                          help="which solutions to count")
-    p_count.add_argument("--threads", type=int, default=1, help="counting threads in this process")
+    p_count.add_argument("--threads", type=int, default=1,
+                         help="ignored: a count runs on the calling thread; kept so that older command lines run")
     p_count.add_argument("--out", default=None, help="JSON-lines store to append to")
     p_count.set_defaults(func=cmd_count)
 
@@ -233,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--t-max", type=int, default=40)
     p_cmp.add_argument("--mc-samples", type=int, default=1_000_000)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--threads", type=int, default=1, help="counting threads in this process")
     p_cmp.add_argument("--csv", default=None, help="CSV export path")
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)

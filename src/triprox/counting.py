@@ -23,8 +23,8 @@ Two independent implementations share one contract:
   of a flat array H.  The pass scans each distinct row once, in canonical form
   and at the largest cap of its blocks, with one ``_kernel_rows`` call per
   cap (at n=2, B=120 the 44 blocks hold 6,498 rows; 16 calls scan 2,106),
-  spread over the count's threads.  Each (bound, order of the pair) of a
-  block adds 3*cum[Z1] - 3*cum[Z12] + cum[Z123] of its segment's prefix sums:
+  all on the calling thread.  Each (bound, order of the pair) of a block
+  adds 3*cum[Z1] - 3*cum[Z12] + cum[Z123] of its segment's prefix sums:
   one bound for ``count_points``, several for ``count_at_bounds``
   (``compare``), and every floor(B/t) its Mobius sum reads for
   ``mobius_count``.  Signs enter through one weight: with x, y, z positive and
@@ -36,7 +36,7 @@ Two independent implementations share one contract:
   every predicate (height, domain, primitivity, sign-fix) per tuple.
 
 Counts are exact integers; for a fixed (n, B, convention) the result is
-deterministic and independent of the number of worker threads.
+deterministic.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ _MAX_BOUND = 2**30
 # of coefficient rows (rows x (n+1)), of a scatter into H (incidences x
 # (Z+1)) or of the terms read from H (bounds x block orders): 128 KiB per
 # float32 kernel buffer and 256 KiB per int64 array.
-# Every worker thread of a count holds its own, in one process, and the
-# benchmark's peak RSS counts them together.
 _CELL_CHUNK = 1 << 15
 _ORACLE_OPS_BUDGET = 400_000_000
 
@@ -295,8 +293,10 @@ def _orbits(n: int, M: int, primitive: bool) -> tuple[np.ndarray, np.ndarray]:
     The representatives are the nondecreasing vectors, built from the last
     entry, the max, to the first: a row with first entry v extends in front
     by 1..v, keeping the order of the last entries.  A sorted vector with
-    runs of lengths r_1, r_2, ... has orbit (n+1)!/prod(r_j!), and
-    prod(r_j!) is the product over coordinates of the current run length.
+    runs of lengths r_1, r_2, ... has orbit (n+1)!/prod(r_j!), built one
+    coordinate at a time: the orbit of the first j+1 entries is that of the
+    first j times (j+1) over the current run length, a multinomial at every
+    step, so no (n+1)! is formed (21! is past int64).
     """
     reps = np.arange(1, M + 1, dtype=np.int32).reshape(-1, 1)
     for _ in range(n):
@@ -308,11 +308,12 @@ def _orbits(n: int, M: int, primitive: bool) -> tuple[np.ndarray, np.ndarray]:
     if primitive:
         reps = reps[_primitive_mask(reps)]
     run = np.ones(len(reps), dtype=np.int64)
-    stab = np.ones(len(reps), dtype=np.int64)
+    size = np.ones(len(reps), dtype=np.int64)
     for j in range(1, n + 1):
         run = np.where(reps[:, j] == reps[:, j - 1], run + 1, 1)
-        stab *= run
-    return reps, math.factorial(n + 1) // stab
+        size *= j + 1
+        size //= run
+    return reps, size
 
 
 def _z_cap(B: int, a: int, b: int, domain: Domain) -> int:
@@ -445,15 +446,6 @@ def _count_pair_block(keys: np.ndarray, Z: int, count: np.ndarray, blocks: np.nd
         H[(start[block, None] + h)[keep]] += sums[keep]
 
 
-def _count_share(size: int, digits: np.ndarray, start: np.ndarray, caps: np.ndarray, groups: list) -> np.ndarray:
-    """One thread's share of the cap groups, summed into its own H, taken by
-    increasing cap and each dropped once scanned: the widest come last."""
-    H = np.zeros(size, dtype=np.int64)
-    while groups:
-        _count_pair_block(*groups.pop(), digits, start, caps, H)
-    return H
-
-
 def _mobius_inverse(H: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """prim[..., h] = sum over d | h of mu(d) * H[..., h/d], for h = 1..Z
     (prim[..., 0] = 0), Z = H.shape[-1] - 1: one exact strided int64 add per
@@ -465,18 +457,18 @@ def _mobius_inverse(H: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return prim
 
 
-def _histograms(n: int, blocks: list, primitive: bool, threads: int) -> tuple[np.ndarray, np.ndarray]:
+def _histograms(n: int, blocks: list, primitive: bool) -> tuple[np.ndarray, np.ndarray]:
     """(H, start): H[start[i] + h], h <= Z_i, counts the z with z_1 >= 1 and
     max|z| = h over the coefficient rows of the block i of the stream, the
     half that ``_kernel_rows`` scans (primitive z only, with ``primitive``);
     the segments lie end to end by cap.  One stable argsort of
     ``_canonical_rows``' incidences by packed row makes each canonical row
     one kernel row, scanned at the largest cap of its blocks (a count at h
-    does not depend on the cap).  The cap groups (``_count_pair_block``) are
-    dealt to ``threads`` shares, largest cells first; the calling thread
-    runs share 0, and their H add up in share order.  Every z of max h is
-    d*z' for its content d and a primitive z' of max h/d, so a primitive
-    count inverts each cap's segments, one matrix, at once."""
+    does not depend on the cap).  The cap groups (``_count_pair_block``)
+    are scanned by increasing cap, each dropped once scanned: the widest
+    come last.  Every z of max h is d*z' for its content d and a primitive
+    z' of max h/d, so a primitive count inverts each cap's segments, one
+    matrix, at once."""
     M, K, Zb = (np.array([block[i] for block in blocks]) for i in (1, 2, 3))
     # m*k <= B bounds every entry, and the z-grid check at (1, 1), where
     # Z = B, bounds 2^(n-1)*B^n by 2^25, so a packed row stays below
@@ -500,28 +492,14 @@ def _histograms(n: int, blocks: list, primitive: bool, threads: int) -> tuple[np
         Z, runs = int(cap[lo]), count[lo:hi]
         at = np.repeat(first[lo:hi] - (np.cumsum(runs) - runs), runs)
         at += np.arange(len(at))
-        groups.append((int(hi - lo) * Z * (2 * Z) ** (n - 1), key[lo:hi], Z, runs, block[at], weight[at]))
+        groups.append((key[lo:hi], Z, runs, block[at], weight[at]))
     del key, block, weight, first, count, cap, by_cap, runs, at
-    threads = max(1, min(threads, len(groups)))
-    groups.sort(key=lambda group: -group[0])  # dealt round the shares by decreasing cells
-    shares = [sorted((group[1:] for group in groups[i::threads]), key=lambda group: -group[1]) for i in range(threads)]
-    del groups
     order = np.argsort(Zb, kind="stable")
     ends = np.cumsum(Zb[order] + 1)
     start = (ends - Zb[order] - 1)[np.argsort(order, kind="stable")]
-    args = (int(ends[-1]), digits, start, Zb)
-    if threads == 1:
-        H = _count_share(*args, shares[0])
-    else:
-        # Imported here so that importing the CLI loads no thread machinery;
-        # the calling thread runs share 0 while the pool runs the others.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            others = [pool.submit(_count_share, *args, share) for share in shares[1:]]
-            H = _count_share(*args, shares[0])
-            for part in others:
-                H += part.result()
+    H = np.zeros(int(ends[-1]), dtype=np.int64)
+    while groups:
+        _count_pair_block(*groups.pop(), digits, start, Zb, H)
     if primitive:
         mu, caps, lo = mobius_sieve(int(Zb.max())), Zb[order].tolist() + [0], 0
         for j, hi in enumerate(ends.tolist()):
@@ -531,14 +509,14 @@ def _histograms(n: int, blocks: list, primitive: bool, threads: int) -> tuple[np
     return H, start
 
 
-def _count_stream(n: int, bounds: list[int], conv: CountingConvention, threads: int, blocks: list) -> list[int]:
+def _count_stream(n: int, bounds: list[int], conv: CountingConvention, blocks: list) -> list[int]:
     """The counts at ``bounds`` from ``blocks``, the stream of the largest:
     the terms of the module docstring (cum[Z1] alone for a domain
     convention), read with ``_z_caps`` and one gather per chunk of about
     _CELL_CHUNK terms.  Exact in int64: a block's rows number at most (n+1)!
     per orbit representative, so a bound's terms add up to at most
     14*(n+1)! times the stream's cells, below 2^63 (``test_int64_sums_stay_exact``)."""
-    H, start = _histograms(n, blocks, conv.primitive, threads)
+    H, start = _histograms(n, blocks, conv.primitive)
     cum = np.cumsum(H)  # cum[start[i]] sums the segments before block i (no z has max 0)
     M, K = (np.array([block[i] for block in blocks]) for i in (1, 2))
     two = M != K  # every block, then the other order of each with m > k
@@ -559,23 +537,20 @@ def _count_stream(n: int, bounds: list[int], conv: CountingConvention, threads: 
     return [weight * total for total in totals]
 
 
-def count_at_bounds(n: int, bounds: list[int], conv: CountingConvention, threads: int = 1) -> list[int]:
+def count_at_bounds(n: int, bounds: list[int], conv: CountingConvention) -> list[int]:
     """Exact cardinalities of the solution sets selected by ``conv`` at each
-    of ``bounds``, from one stream of pair blocks at the largest, scanned by
-    ``threads`` threads of this process (numpy releases the GIL in the
-    kernel's passes).  The result does not depend on ``threads``."""
+    of ``bounds``, from one stream of pair blocks at the largest."""
     check_dim(n)
     for B in bounds:
         _validate_bound(B)
     if not isinstance(conv, CountingConvention):
         raise ValueError("conv must be a CountingConvention")
-    return _count_stream(n, bounds, conv, threads, _pair_blocks(n, max(bounds)))
+    return _count_stream(n, bounds, conv, _pair_blocks(n, max(bounds)))
 
 
-def count_points(n: int, B: int, conv: CountingConvention, threads: int = 1) -> ExactCount:
-    """Exact cardinality of the solution set selected by ``conv``, independent
-    of ``threads``."""
-    return ExactCount(count_at_bounds(n, [B], conv, threads)[0])
+def count_points(n: int, B: int, conv: CountingConvention) -> ExactCount:
+    """Exact cardinality of the solution set selected by ``conv``."""
+    return ExactCount(count_at_bounds(n, [B], conv)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +558,7 @@ def count_points(n: int, B: int, conv: CountingConvention, threads: int = 1) -> 
 # ---------------------------------------------------------------------------
 
 
-def mobius_count(n: int, B: int, sign_fix=frozenset(), threads: int = 1) -> int:
+def mobius_count(n: int, B: int, sign_fix=frozenset()) -> int:
     """Primitive count reconstructed by the triple Mobius sum
     sum_{k,l,m} mu(k)mu(l)mu(m) * count(H*klm <= B), FULL domain.
 
@@ -597,7 +572,7 @@ def mobius_count(n: int, B: int, sign_fix=frozenset(), threads: int = 1) -> int:
     g = _mobius_inverse(_mobius_inverse(mu, mu), mu)  # g(t): sum of mu(k)mu(l)mu(m) over klm = t
     bounds = sorted({B // t for t in range(1, B + 1) if g[t]})
     conv = CountingConvention(False, frozenset(sign_fix), Domain.FULL)
-    counts = dict(zip(bounds, _count_stream(n, bounds, conv, threads, blocks)))
+    counts = dict(zip(bounds, _count_stream(n, bounds, conv, blocks)))
     return sum(int(g[t]) * counts[B // t] for t in range(1, B + 1) if g[t])
 
 

@@ -75,6 +75,20 @@ class TestCount:
         assert [(rec["B"], rec["count"]) for rec in read_jsonl(store)] == [
             (B, count_points(2, B, conv).count) for B in (20, 25)]
 
+    def test_threads_is_accepted_and_ignored(self, tmp_path):
+        # the benchmark's mobius-n3 command passes --threads 2, and its gate
+        # reads the record; a count runs on the calling thread either way
+        records = []
+        for extra in ([], ["--threads", "2"]):
+            store = tmp_path / f"runs{len(records)}.jsonl"
+            assert main(["count", "--n", "3", "--bound", "30", "--convention", "mobius",
+                         "--out", str(store), *extra]) == EXIT_OK
+            (record,) = read_jsonl(store)
+            del record["timestamp"], record["elapsed_ms"]
+            records.append(record)
+        assert records[0] == records[1]
+        assert records[0]["count"] == 950859264
+
     def test_store_append_only(self, tmp_path):
         store = tmp_path / "runs.jsonl"
         main(["count", "--n", "1", "--bound", "2", "--out", str(store)])

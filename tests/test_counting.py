@@ -284,12 +284,11 @@ class TestOrbitReduction:
 
     @pytest.mark.parametrize("primitive", [False, True])
     @pytest.mark.parametrize("n, B", [(1, 40), (1, 7), (1, 2000), (2, 30), (2, 8), (3, 9), (3, 4)])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_block_equals_full_row_sum(self, n, B, primitive, threads):
+    def test_block_equals_full_row_sum(self, n, B, primitive):
         # each block's segment of H, up to its cap, is the block's literal
         # row sum (n=1, B=2000 has 419 blocks, past 8-bit block indices)
         blocks = _pair_blocks(n, B)
-        H, start = _histograms(n, blocks, primitive, threads)
+        H, start = _histograms(n, blocks, primitive)
         assert len(H) == sum(Z + 1 for _, _, _, Z in blocks)
         total = 0
         for at, (_, m, k, Z) in zip(start.tolist(), blocks):
@@ -311,7 +310,7 @@ class TestOrbitReduction:
 
         monkeypatch.setattr(counting, "_kernel_rows", counted)
         blocks = _pair_blocks(n, B)
-        H, start = _histograms(n, blocks, primitive, 1)
+        H, start = _histograms(n, blocks, primitive)
         below = 0
         for at, (_, m, k, Z) in zip(start.tolist(), blocks):
             assert H[at : at + Z + 1].tolist() == self.literal_block(n, m, k, Z, primitive)
@@ -333,7 +332,7 @@ class TestOrbitReduction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert count == count_points(1, B, NAMED_CONVENTIONS["primitive"], threads=2).count > 0
+        assert count == 1560992  # as mobius_count(1, 4096), a second route
         assert peak < one_width / 8
 
     @staticmethod
@@ -386,6 +385,13 @@ class TestCountPoints:
         with pytest.raises(ValueError):
             count_points(2, 0, ALL)
 
+    def test_orbit_sizes_where_the_factorial_passes_int64(self):
+        # 21! and 22! are past int64, the orbit sizes at B=1 are not: 21
+        # coordinates of +-1 never sum to 0, and 22 do in C(22, 11) ways for
+        # each of the 4^22 signings of x and y
+        assert count_points(20, 1, ALL).count == 0
+        assert count_points(21, 1, ALL).count == math.comb(22, 11) * 4**22
+
     @pytest.mark.parametrize("name", ["all", "primitive-signfixed", "E", "E2"])
     def test_one_stream_gives_every_smaller_bound(self, name, monkeypatch):
         # the blocks and z-caps of B=12 serve every smaller bound, also when
@@ -393,15 +399,9 @@ class TestCountPoints:
         # block orders)
         conv = NAMED_CONVENTIONS[name]
         expected = [count_points(2, B, conv).count for B in (12, *range(1, 12))]
-        assert count_at_bounds(2, [12, *range(1, 12)], conv, threads=1) == expected
+        assert count_at_bounds(2, [12, *range(1, 12)], conv) == expected
         monkeypatch.setattr(counting, "_CELL_CHUNK", 40)
-        assert count_at_bounds(2, [12, *range(1, 12)], conv, threads=1) == expected
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_nonpositive_threads_run_single_worker(self, threads):
-        conv = NAMED_CONVENTIONS["primitive"]
-        single = count_points(2, 12, conv, threads=1).count
-        assert count_points(2, 12, conv, threads=threads).count == single
+        assert count_at_bounds(2, [12, *range(1, 12)], conv) == expected
 
     @pytest.mark.parametrize("n, B", [(2, 240), (3, 30)])
     def test_one_pair_block_per_unordered_magnitude_pair(self, n, B):
@@ -416,29 +416,12 @@ class TestCountPoints:
         assert blocks == literal
         assert len(blocks) > 0
 
-    def test_thread_count_invariance(self):
-        conv = NAMED_CONVENTIONS["primitive"]
-        single = count_points(2, 12, conv, threads=1).count
-        multi = count_points(2, 12, conv, threads=2).count
-        assert single == multi
-
-    @pytest.mark.parametrize("name", ["primitive", "all", "E1", "E3"])
-    @pytest.mark.parametrize("n, B", [(2, 120), (3, 30)])
-    def test_thread_count_invariance_where_row_tables_differ(self, n, B, name):
-        # the cap groups are dealt to as many shares as threads, so each
-        # share's H depends on the thread count; the counts must not
-        bounds = [B, B // 2, B // 3]
-        counts = [count_at_bounds(n, bounds, NAMED_CONVENTIONS[name], threads=t) for t in (1, 2, 3)]
-        assert counts[0] == counts[1] == counts[2]
-        assert min(counts[0]) > 0
-
-    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("n, B, primitive", [(2, 120, True), (3, 30, False)])
-    def test_each_canonical_row_is_scanned_once(self, n, B, primitive, threads, monkeypatch):
+    def test_each_canonical_row_is_scanned_once(self, n, B, primitive, monkeypatch):
         # the rows handed to the kernel are the distinct canonical forms
         # (sorted, divided by the gcd) of every coefficient row x_i*y_i of the
-        # stream's pair blocks, each once, at the largest cap of its blocks,
-        # at every thread count: n=2 for count_points, n=3 for mobius_count
+        # stream's pair blocks, each once, at the largest cap of its blocks:
+        # n=2 for count_points, n=3 for mobius_count
         scanned = []
 
         def counted(C, Z):
@@ -447,9 +430,9 @@ class TestCountPoints:
 
         monkeypatch.setattr("triprox.counting._kernel_rows", counted)
         if primitive:
-            assert count_points(n, B, NAMED_CONVENTIONS["primitive"], threads=threads).count == 104027904
+            assert count_points(n, B, NAMED_CONVENTIONS["primitive"]).count == 104027904
         else:
-            assert mobius_count(n, B, threads=threads) == 950859264
+            assert mobius_count(n, B) == 950859264
         caps, _ = literal_canonical_caps(n, B, primitive)
         assert len(scanned) == len(dict(scanned)) == len(caps) > 0
         assert dict(scanned) == caps
@@ -464,7 +447,7 @@ class TestCountPoints:
             return _kernel_rows(C, Z)
 
         monkeypatch.setattr("triprox.counting._kernel_rows", counted)
-        assert count_points(2, 120, NAMED_CONVENTIONS["primitive"], threads=1).count == 104027904
+        assert count_points(2, 120, NAMED_CONVENTIONS["primitive"]).count == 104027904
         caps, blocks = literal_canonical_caps(2, 120, True)
         assert sorted(calls) == sorted(set(caps.values()))
         assert len(calls) < blocks
@@ -534,10 +517,9 @@ class TestGoldenCounts:
     def test_primitive_count(self, n, B):
         assert count_points(n, B, NAMED_CONVENTIONS["primitive"]).count == self.GOLDEN[n, B]
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_mobius_n3(self, threads):
+    def test_mobius_n3(self):
         # the benchmark's mobius-n3 answer, which equals count_points(3, 30, primitive)
-        assert mobius_count(3, 30, threads=threads) == 950859264
+        assert mobius_count(3, 30) == 950859264
 
 
 class TestOracleEquivalence:
@@ -554,14 +536,12 @@ class TestOracleEquivalence:
         # beyond criterion 1's grid, where more vectors repeat a coordinate
         convs = list(NAMED_CONVENTIONS.values())
         slow = [e.count for e in oracle_sweep(n, B, convs)]
-        for threads in (1, 2):
-            assert [count_points(n, B, c, threads=threads).count for c in convs] == slow
+        assert [count_points(n, B, c).count for c in convs] == slow
 
     @pytest.mark.parametrize("n, B", [(1, 12), (2, 9), (3, 5)])
     def test_every_convention(self, n, B):
         slow = [e.count for e in oracle_sweep(n, B, EVERY_CONVENTION)]
-        for threads in (1, 2):
-            assert [count_points(n, B, c, threads=threads).count for c in EVERY_CONVENTION] == slow
+        assert [count_points(n, B, c).count for c in EVERY_CONVENTION] == slow
 
     def test_oracle_budget_guard(self):
         with pytest.raises(BudgetExceededError):
@@ -650,9 +630,6 @@ class TestMobiusIdentity:
     def test_n3_matches_direct_primitive_count(self):
         direct = count_points(3, 8, NAMED_CONVENTIONS["primitive"]).count
         assert mobius_count(3, 8, frozenset()) == direct
-
-    def test_thread_count_invariance(self):
-        assert mobius_count(3, 8, threads=1) == mobius_count(3, 8, threads=2)
 
     def test_unit_bound_trivial(self):
         assert mobius_count(3, 1, frozenset()) == count_points(3, 1, NAMED_CONVENTIONS["primitive"]).count

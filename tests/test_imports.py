@@ -35,23 +35,25 @@ def test_cli_import_leaves_thread_pool_unloaded():
 
 
 def test_count_threads_leave_process_machinery_unloaded():
-    # count workers are threads of the calling process: neither the import
-    # nor a two-worker count loads multiprocessing or the process pool
+    # a count runs on the calling thread, and `count --threads` is ignored:
+    # neither the import nor a `--threads 2` count loads a thread pool,
+    # a process pool or multiprocessing
     code = ("import contextlib, io, json, sys\n"
             "import triprox.cli\n"
-            "loaded = lambda: [m in sys.modules for m in ('multiprocessing', 'concurrent.futures.process')]\n"
+            "pools = ('multiprocessing', 'concurrent.futures.process', 'concurrent.futures.thread')\n"
+            "loaded = lambda: [m in sys.modules for m in pools]\n"
             "after_import = loaded()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = triprox.cli.main(['count', '--n', '3', '--bound', '30', '--convention', 'mobius',\n"
             "                           '--threads', '2'])\n"
             "print(json.dumps([rc, after_import, loaded()]))")
-    assert run_fresh(code) == [0, [False, False], [False, False]]
+    assert run_fresh(code) == [0, [False] * 3, [False] * 3]
 
 
 @pytest.mark.parametrize("argv, loads_scipy", [
     (["count", "--n", "2", "--bound", "10", "--convention", "primitive"], False),
     (["compare", "--n", "2", "--bounds", "8,12", "--p-max", "30", "--t-max", "15",
-      "--mc-samples", "20000", "--threads", "2"], False),
+      "--mc-samples", "20000"], False),
     (["predict", "--n", "2", "--p-max", "30", "--t-max", "15", "--mc-samples", "20000"], False),
     (["census", "--n", "2"], False),
     (["delta", "--Q", "4", "--l-range", "0:1"], True),
@@ -66,28 +68,25 @@ def test_only_delta_loads_scipy(argv, loads_scipy):
 
 
 def test_count_worker_imports_nothing():
-    # _count_share is what each count worker thread runs; a module it, or
-    # the planning and summing around it, imports lazily (numpy.ma behind
-    # np.unique, say) is paid by every count command, inside its own time.
-    # The counts run with the worker stubbed out, and the worker then runs
-    # on the shares they dealt.
+    # _count_pair_block scans one cap group; a module it, or the planning
+    # and summing around it, imports lazily (numpy.ma behind np.unique,
+    # say) is paid by every count command, inside its own time.  The counts
+    # run with it stubbed out, and it then scans the groups they recorded.
     code = ("import json, sys, triprox.cli\n"
-            "import numpy as np\n"
             "import triprox.counting as counting\n"
             "from triprox.counting import NAMED_CONVENTIONS, count_points, mobius_count\n"
-            "worker, payloads = counting._count_share, []\n"
-            "def stub(size, digits, start, caps, groups):\n"
-            "    payloads.append((size, digits, start, caps, groups))\n"
-            "    return np.zeros(size, dtype=np.int64)\n"
-            "counting._count_share = stub\n"
+            "scan, groups, marks = counting._count_pair_block, [], []\n"
+            "counting._count_pair_block = lambda *group: groups.append(group)\n"
             "before = set(sys.modules)\n"
             "count_points(3, 30, NAMED_CONVENTIONS['primitive'])\n"
+            "marks.append(len(groups))\n"
             "count_points(3, 30, NAMED_CONVENTIONS['E3'])\n"
+            "marks.append(len(groups))\n"
             "mobius_count(3, 30)\n"
-            "groups = [len(p[4]) for p in payloads]\n"
-            "for p in payloads:\n"
-            "    worker(*p)\n"
-            "print(json.dumps([groups, sorted(set(sys.modules) - before)]))")
-    groups, imported = run_fresh(code)
-    assert len(groups) == 3 and min(groups) > 0
+            "marks.append(len(groups))\n"
+            "for group in groups:\n"
+            "    scan(*group)\n"
+            "print(json.dumps([marks, sorted(set(sys.modules) - before)]))")
+    marks, imported = run_fresh(code)
+    assert 0 < marks[0] < marks[1] < marks[2]
     assert imported == []
