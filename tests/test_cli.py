@@ -75,11 +75,13 @@ class TestCount:
         assert [(rec["B"], rec["count"]) for rec in read_jsonl(store)] == [
             (B, count_points(2, B, conv).count) for B in (20, 25)]
 
-    def test_threads_is_accepted_and_ignored(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["2", "0", "-1"])
+    def test_threads_is_accepted_and_ignored(self, tmp_path, threads):
         # the benchmark's mobius-n3 command passes --threads 2, and its gate
-        # reads the record; a count runs on the calling thread either way
+        # reads the record; a count runs on the calling thread either way,
+        # and no value of the flag, not even a nonpositive one, changes it
         records = []
-        for extra in ([], ["--threads", "2"]):
+        for extra in ([], ["--threads", threads]):
             store = tmp_path / f"runs{len(records)}.jsonl"
             assert main(["count", "--n", "3", "--bound", "30", "--convention", "mobius",
                          "--out", str(store), *extra]) == EXIT_OK

@@ -284,9 +284,12 @@ class TestOrbitReduction:
 
     @pytest.mark.parametrize("primitive", [False, True])
     @pytest.mark.parametrize("n, B", [(1, 40), (1, 7), (1, 2000), (2, 30), (2, 8), (3, 9), (3, 4)])
-    def test_block_equals_full_row_sum(self, n, B, primitive):
+    @pytest.mark.parametrize("chunk", [counting._CELL_CHUNK, 40])
+    def test_block_equals_full_row_sum(self, n, B, primitive, chunk, monkeypatch):
         # each block's segment of H, up to its cap, is the block's literal
-        # row sum (n=1, B=2000 has 419 blocks, past 8-bit block indices)
+        # row sum (n=1, B=2000 has 419 blocks, past 8-bit block indices),
+        # also when a small _CELL_CHUNK splits every scan into many pieces
+        monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
         blocks = _pair_blocks(n, B)
         H, start = _histograms(n, blocks, primitive)
         assert len(H) == sum(Z + 1 for _, _, _, Z in blocks)
@@ -385,12 +388,12 @@ class TestCountPoints:
         with pytest.raises(ValueError):
             count_points(2, 0, ALL)
 
-    def test_orbit_sizes_where_the_factorial_passes_int64(self):
+    @pytest.mark.parametrize("n, expected", [(20, 0), (21, math.comb(22, 11) * 4**22)])
+    def test_orbit_sizes_where_the_factorial_passes_int64(self, n, expected):
         # 21! and 22! are past int64, the orbit sizes at B=1 are not: 21
         # coordinates of +-1 never sum to 0, and 22 do in C(22, 11) ways for
         # each of the 4^22 signings of x and y
-        assert count_points(20, 1, ALL).count == 0
-        assert count_points(21, 1, ALL).count == math.comb(22, 11) * 4**22
+        assert count_points(n, 1, ALL).count == expected
 
     @pytest.mark.parametrize("name", ["all", "primitive-signfixed", "E", "E2"])
     def test_one_stream_gives_every_smaller_bound(self, name, monkeypatch):
@@ -416,12 +419,28 @@ class TestCountPoints:
         assert blocks == literal
         assert len(blocks) > 0
 
+    @pytest.mark.parametrize("name", ["primitive", "all", "E1", "E3"])
+    @pytest.mark.parametrize("n, B", [(2, 120), (3, 30)])
+    def test_chunk_invariance_where_row_tables_differ(self, n, B, name, monkeypatch):
+        # _CELL_CHUNK sets how the canonical rows, the kernel's cells and the
+        # stream's terms are cut into pieces; the counts must not depend on it
+        bounds = [B, B // 2, B // 3]
+        counts = []
+        for chunk in (counting._CELL_CHUNK, 1024, 40):
+            monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
+            counts.append(count_at_bounds(n, bounds, NAMED_CONVENTIONS[name]))
+        assert counts[0] == counts[1] == counts[2]
+        assert min(counts[0]) > 0
+
+    @pytest.mark.parametrize("chunk", [counting._CELL_CHUNK, 1024, 40])
     @pytest.mark.parametrize("n, B, primitive", [(2, 120, True), (3, 30, False)])
-    def test_each_canonical_row_is_scanned_once(self, n, B, primitive, monkeypatch):
+    def test_each_canonical_row_is_scanned_once(self, n, B, primitive, chunk, monkeypatch):
         # the rows handed to the kernel are the distinct canonical forms
         # (sorted, divided by the gcd) of every coefficient row x_i*y_i of the
-        # stream's pair blocks, each once, at the largest cap of its blocks:
+        # stream's pair blocks, each once, at the largest cap of its blocks,
+        # however _CELL_CHUNK cuts the rows and the cells into pieces:
         # n=2 for count_points, n=3 for mobius_count
+        monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
         scanned = []
 
         def counted(C, Z):
@@ -517,8 +536,11 @@ class TestGoldenCounts:
     def test_primitive_count(self, n, B):
         assert count_points(n, B, NAMED_CONVENTIONS["primitive"]).count == self.GOLDEN[n, B]
 
-    def test_mobius_n3(self):
-        # the benchmark's mobius-n3 answer, which equals count_points(3, 30, primitive)
+    @pytest.mark.parametrize("chunk", [counting._CELL_CHUNK, 1024, 40])
+    def test_mobius_n3(self, chunk, monkeypatch):
+        # the benchmark's mobius-n3 answer, which equals count_points(3, 30,
+        # primitive), at the default _CELL_CHUNK and at two smaller ones
+        monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
         assert mobius_count(3, 30) == 950859264
 
 
@@ -630,6 +652,13 @@ class TestMobiusIdentity:
     def test_n3_matches_direct_primitive_count(self):
         direct = count_points(3, 8, NAMED_CONVENTIONS["primitive"]).count
         assert mobius_count(3, 8, frozenset()) == direct
+
+    def test_chunk_invariance(self, monkeypatch):
+        # the Mobius sum reads the terms of every divisor bound in pieces of
+        # _CELL_CHUNK; a small chunk must give the same count
+        direct = count_points(3, 8, NAMED_CONVENTIONS["primitive"]).count
+        monkeypatch.setattr(counting, "_CELL_CHUNK", 40)
+        assert mobius_count(3, 8) == direct
 
     def test_unit_bound_trivial(self):
         assert mobius_count(3, 1, frozenset()) == count_points(3, 1, NAMED_CONVENTIONS["primitive"]).count
