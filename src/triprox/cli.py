@@ -142,11 +142,9 @@ def cmd_census(args) -> int:
     if result.by_dimension is not None:
         for dim, cnt in result.by_dimension.items():
             print(f"  stratum dimension {dim}: {cnt}")
-    print(f"  desingularized Picard rank: 3 + {result.count} = {3 + result.count}")
     _append_record(args.out, "census",
                    {"n": args.n, "mode": args.mode},
-                   {"count": result.count, "by_dimension": result.by_dimension,
-                    "picard_rank": 3 + result.count})
+                   {"count": result.count, "by_dimension": result.by_dimension})
     return EXIT_OK
 
 

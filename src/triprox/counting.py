@@ -12,9 +12,11 @@ Two independent implementations share one contract:
   keeps primitivity and the sign weight (a function of the number of
   sign-fixed vectors).  So the sets, and their pairwise intersections, have
   equal counts: N = 3|E1| - 3|E1 n E2| + |E1 n E2 n E3|, a sum over DXY
-  pairs (a, b) alone.  Each term admits a prefix of max|z| (``_in_domain``
-  is monotone in c): Z1 for DXY, Z12 = min(Z1, DYZ cap), Z123 = min(Z12,
-  DZX cap).  A domain convention counts |E1|.
+  pairs (a, b) alone.  Each term admits a prefix of max|z|, up to a cap
+  that is a quotient of B, r1 = floor(B^(1/3)) or r2 = floor(B^(2/3))
+  (``_z_caps``): Z1 for DXY, Z12 = min(Z1, DYZ cap), Z123 = min(Z12, DZX
+  cap).  A domain convention counts |E1|.  ``_in_domain`` states the same
+  rule per point, for the oracle.
 
   A count makes one stream of pair blocks (``_pair_blocks``) at its largest
   bound, one per unordered pair of magnitudes (DXY and its caps shrink with
@@ -42,7 +44,6 @@ deterministic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -316,55 +317,58 @@ def _orbits(n: int, M: int, primitive: bool) -> tuple[np.ndarray, np.ndarray]:
     return reps, size
 
 
-def _z_cap(B: int, a: int, b: int, domain: Domain) -> int:
-    """Largest admissible max|z| for exact maxima (a, b), or 0 when none.
-    ``_in_domain`` is monotone in c, so its admitted c form a prefix."""
-    return bisect_left(range(1, B // (a * b) + 1), True, key=lambda c: not _in_domain(B, a, b, c, domain))
+def _icbrt(x: int) -> int:
+    """floor(x^(1/3)) for an int x >= 0: a float guess, corrected exactly."""
+    r = round(x ** (1 / 3))
+    while r**3 > x:
+        r -= 1
+    while (r + 1) ** 3 <= x:
+        r += 1
+    return r
 
 
-def _z_caps(B, a, b, domain: Domain) -> np.ndarray:
-    """``_z_cap`` over int arrays that broadcast, bisected in lockstep by
-    array calls of ``_in_domain``.  Its products stay below B^3 (u*v <= B),
-    inside int64 for every bound the cell budget admits (n=1 stops near
-    B=2^17)."""
-    hi = B // (a * b)
-    lo = np.zeros_like(hi)
-    while (lo < hi).any():
-        mid = (lo + hi + 1) // 2
-        ok = _in_domain(B, a, b, mid, domain)
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid - 1)
-    return lo
+def _z_caps(B, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Z1, Z12, Z123): the largest max|z| that height abc <= B admits with
+    (a, b) in DXY, with DXY and DYZ, and with all three domains, or 0 when
+    none, over int arrays that broadcast (B an int or a column of bounds).
+    With r1 = floor(B^(1/3)) and r2 = floor(B^(2/3)) an integer pair (u, v)
+    is in its domain exactly when u <= r1 and u*v <= r2, so the caps are
+    quotients: Z1 = B//(ab) when a <= r1 and ab <= r2, Z12 = min(Z1, r2//b)
+    when b <= r1, Z123 = min(Z12, r1, r2//a)."""
+    B = np.asarray(B)
+    r1, r2 = (np.array([_icbrt(int(x) ** p) for x in B.flat]).reshape(B.shape) for p in (1, 2))
+    z1 = np.where((a <= r1) & (a * b <= r2), B // (a * b), 0)
+    z12 = np.where(b <= r1, np.minimum(z1, r2 // b), 0)
+    return z1, z12, np.minimum(z12, np.minimum(r1, r2 // a))
 
 
-def _pair_blocks(n: int, B: int) -> list[tuple[int, int, int, int]]:
-    """The stream at the bound B: (cost, m, k, Z) per unordered k <= m with
-    (m, k) or (k, m) in DXY, Z the larger DXY z-cap of the two orders, cost
-    the kernel cells of the block's rows, rows x Z*(2Z)^(n-1), with
-    C(m+n-1, n) orbit representatives times k^(n+1) - (k-1)^(n+1) vectors
-    as rows.  The count scans each canonical row once, so the cost is an
-    upper bound, fixed before any row is formed.  The caps do not grow with
-    m, so an empty block ends its row of k, and an empty (k, k) the stream:
-    the blocks come by k, then by m from k.  Refuses a per-row z-grid over
-    budget (largest at (1, 1)) and stops at the first partial sum over
-    _CELL_BUDGET."""
-    _check_z_grid(n, _z_cap(B, 1, 1, Domain.DXY))
-    blocks, cells = [], 0
-    for k in range(1, B + 1):
-        for m in range(k, B // k + 1):
-            Z = max(_z_cap(B, a, b, Domain.DXY) for a, b in {(m, k), (k, m)})
-            if not Z:
-                break
-            cost = math.comb(m + n - 1, n) * (k ** (n + 1) - (k - 1) ** (n + 1)) * Z * (2 * Z) ** (n - 1)
-            cells += cost
+def _pair_blocks(n: int, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stream at the bound B as int arrays (M, K, Z): one block per
+    unordered k <= m with (m, k) or (k, m) in DXY, by k and then by m.  With
+    k <= m that is (k, m) in DXY: k = 1..r1 and m = k..r2//k, r1 and r2 as
+    in ``_z_caps``, at the cap Z = B//(mk) that DXY leaves whole.  Refuses
+    a per-row z-grid over budget (the largest, Z = B, at (1, 1)) and stops
+    at the first partial sum over _CELL_BUDGET of the blocks' kernel cells,
+    rows x Z*(2Z)^(n-1) with C(m+n-1, n) orbit representatives times
+    k^(n+1) - (k-1)^(n+1) vectors as rows: an upper bound, fixed before any
+    row is formed, since the count scans each canonical row once."""
+    _check_z_grid(n, B)
+    r1, r2 = _icbrt(B), _icbrt(B * B)
+    M, K, Z, cells = [], [], [], 0
+    for k in range(1, r1 + 1):
+        shell = k ** (n + 1) - (k - 1) ** (n + 1)
+        for m in range(k, r2 // k + 1):
+            z = B // (m * k)
+            cells += math.comb(m + n - 1, n) * shell * z * (2 * z) ** (n - 1)
             if cells > _CELL_BUDGET:
                 raise BudgetExceededError(f"kernel cells at (n={n}, B={B}) exceed the {_CELL_BUDGET} budget")
-            blocks.append((cost, m, k, Z))
-        if m == k:
-            break
-    return blocks
+            M.append(m)
+            K.append(k)
+            Z.append(z)
+    return np.array(M), np.array(K), np.array(Z)
 
 
-def _canonical_rows(n: int, blocks: list, primitive: bool, digits: np.ndarray):
+def _canonical_rows(n: int, M: np.ndarray, K: np.ndarray, primitive: bool, digits: np.ndarray):
     """The stream's coefficient rows as (packed canonical row, block, orbit
     weight) incidences, one per distinct pair in a chunk of rows.
 
@@ -380,9 +384,8 @@ def _canonical_rows(n: int, blocks: list, primitive: bool, digits: np.ndarray):
     z -> -z splits each height's solutions evenly by the sign of any one
     coordinate.  It is packed into one int64 as digits in ``digits``' base.
     """
-    K = np.array([block[2] for block in blocks])
     # int32 rows: their entries are at most m*k <= B <= 2^30
-    R, sizes = _orbits(n, max(block[1] for block in blocks), primitive)
+    R, sizes = _orbits(n, int(M.max()), primitive)
     ms = R[:, -1]
     shells = []  # (block of m minus m, Q_k, first and end representative) per k
     for b0 in np.flatnonzero(np.diff(K, prepend=0)):
@@ -392,13 +395,13 @@ def _canonical_rows(n: int, blocks: list, primitive: bool, digits: np.ndarray):
             Q = Q[_primitive_mask(Q)]
         # the blocks of k hold m = k, k+1, ..., the last one before index end
         end = b0 + np.searchsorted(K[b0:], k, side="right")
-        shells.append((b0 - k, Q, *np.searchsorted(ms, [k, blocks[end - 1][1] + 1])))
+        shells.append((b0 - k, Q, *np.searchsorted(ms, [k, M[end - 1] + 1])))
     # Room for one incidence per row, filled from the front: the untouched
     # pages never become resident.  The incidences are a count's largest
     # arrays: blocks take the smallest type, weights int32 if they fit.
     size = sum((hi - lo) * len(Q) for _, Q, lo, hi in shells)
     key, weight = np.empty(size, np.int64), np.empty(size, np.int64)
-    block = np.empty(size, np.min_scalar_type(len(blocks)))
+    block = np.empty(size, np.min_scalar_type(len(M)))
     used = 0
     for offset, Q, lo, hi in shells:
         r_chunk = max(1, _CELL_CHUNK // (len(Q) * (n + 1)))
@@ -457,7 +460,7 @@ def _mobius_inverse(H: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return prim
 
 
-def _histograms(n: int, blocks: list, primitive: bool) -> tuple[np.ndarray, np.ndarray]:
+def _histograms(n: int, blocks: tuple, primitive: bool) -> tuple[np.ndarray, np.ndarray]:
     """(H, start): H[start[i] + h], h <= Z_i, counts the z with z_1 >= 1 and
     max|z| = h over the coefficient rows of the block i of the stream, the
     half that ``_kernel_rows`` scans (primitive z only, with ``primitive``);
@@ -469,13 +472,13 @@ def _histograms(n: int, blocks: list, primitive: bool) -> tuple[np.ndarray, np.n
     come last.  Every z of max h is d*z' for its content d and a primitive
     z' of max h/d, so a primitive count inverts each cap's segments, one
     matrix, at once."""
-    M, K, Zb = (np.array([block[i] for block in blocks]) for i in (1, 2, 3))
+    M, K, Zb = blocks
     # m*k <= B bounds every entry, and the z-grid check at (1, 1), where
     # Z = B, bounds 2^(n-1)*B^n by 2^25, so a packed row stays below
     # (2B)^(n+1) <= 2^27*B <= 2^52, well inside int64
     digits = (int((M * K).max()) + 1) ** np.arange(n, -1, -1, dtype=np.int64)
     # one statement per permuted array, each dropped once the groups hold their parts
-    key, block, weight = _canonical_rows(n, blocks, primitive, digits)
+    key, block, weight = _canonical_rows(n, M, K, primitive, digits)
     order = np.argsort(key, kind="stable")
     key = key[order]
     block = block[order]
@@ -509,7 +512,7 @@ def _histograms(n: int, blocks: list, primitive: bool) -> tuple[np.ndarray, np.n
     return H, start
 
 
-def _count_stream(n: int, bounds: list[int], conv: CountingConvention, blocks: list) -> list[int]:
+def _count_stream(n: int, bounds: list[int], conv: CountingConvention, blocks: tuple) -> list[int]:
     """The counts at ``bounds`` from ``blocks``, the stream of the largest:
     the terms of the module docstring (cum[Z1] alone for a domain
     convention), read with ``_z_caps`` and one gather per chunk of about
@@ -518,17 +521,14 @@ def _count_stream(n: int, bounds: list[int], conv: CountingConvention, blocks: l
     14*(n+1)! times the stream's cells, below 2^63 (``test_int64_sums_stay_exact``)."""
     H, start = _histograms(n, blocks, conv.primitive)
     cum = np.cumsum(H)  # cum[start[i]] sums the segments before block i (no z has max 0)
-    M, K = (np.array([block[i] for block in blocks]) for i in (1, 2))
+    M, K, _ = blocks
     two = M != K  # every block, then the other order of each with m > k
-    at = start[np.concatenate([np.arange(len(blocks)), np.flatnonzero(two)])]
+    at = start[np.concatenate([np.arange(len(M)), np.flatnonzero(two)])]
     a, b = np.concatenate([M, K[two]]), np.concatenate([K, M[two]])
     totals, per = [], max(1, _CELL_CHUNK // len(a))
     for lo in range(0, len(bounds), per):
-        Bs = np.array(bounds[lo : lo + per])[:, None]
-        z1 = _z_caps(Bs, a, b, Domain.DXY)
+        z1, z12, z123 = _z_caps(np.array(bounds[lo : lo + per])[:, None], a, b)
         if conv.domain is Domain.FULL:
-            z12 = np.minimum(z1, _z_caps(Bs, a, b, Domain.DYZ))
-            z123 = np.minimum(z12, _z_caps(Bs, a, b, Domain.DZX))
             terms = 3 * cum[at + z1] - 3 * cum[at + z12] + cum[at + z123] - cum[at]
         else:
             terms = cum[at + z1] - cum[at]

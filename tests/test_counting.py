@@ -25,13 +25,13 @@ from triprox.counting import (
     _exact_max_vectors,
     _first_max_positive,
     _histograms,
+    _icbrt,
     _in_domain,
     _kernel_rows,
     _mobius_inverse,
     _orbits,
     _pair_blocks,
     _primitive_mask,
-    _z_cap,
     _z_caps,
     count_at_bounds,
 )
@@ -50,6 +50,11 @@ EVERY_CONVENTION = [
 
 def rows(*vectors):
     return np.array(vectors, dtype=np.int64)
+
+
+def stream(blocks):
+    """The (m, k, Z) of each pair block of a ``_pair_blocks`` stream, as ints."""
+    return list(zip(*(v.tolist() for v in blocks)))
 
 
 class TestCountZ:
@@ -92,7 +97,7 @@ class TestPredicates:
 
 class TestDomainPredicate:
     """``_in_domain`` against the real-number definition in the ``Domain``
-    docstring, and ``_z_cap`` against the predicate."""
+    docstring, and the closed-form ``_z_caps`` against the predicate."""
 
     BOUNDS = (1, 7, 8, 27, 64, 125, 1000)
 
@@ -109,17 +114,27 @@ class TestDomainPredicate:
 
     @pytest.mark.parametrize("B", BOUNDS)
     def test_z_cap_is_last_admitted_c(self, B):
+        # (Z1, Z12, Z123) is the largest c the predicate admits under DXY,
+        # under DXY and DYZ, and under all three, or 0 when it admits none
         pairs = [(a, b) for a in range(1, B + 1) for b in range(1, B // a + 1)]
         a, b = (np.array(v) for v in zip(*pairs))
-        for domain in Domain:
-            expected = [
-                max((c for c in range(1, B // (x * y) + 1) if _in_domain(B, x, y, c, domain)), default=0)
-                for x, y in pairs
-            ]
-            assert [_z_cap(B, x, y, domain) for x, y in pairs] == expected
-            # the lockstep array form, over one bound and over several
-            assert _z_caps(B, a, b, domain).tolist() == expected
-            assert _z_caps(np.array([[B], [B]]), a, b, domain).tolist() == [expected, expected]
+        domains = (Domain.DXY, Domain.DYZ, Domain.DZX)
+        expected = [
+            [max((c for c in range(1, B // (x * y) + 1)
+                  if all(_in_domain(B, x, y, c, d) for d in domains[:j])), default=0)
+             for x, y in pairs]
+            for j in (1, 2, 3)
+        ]
+        # over one bound, and over a column of bounds
+        assert [z.tolist() for z in _z_caps(B, a, b)] == expected
+        assert [z.tolist() for z in _z_caps(np.array([[B], [B]]), a, b)] == [[e, e] for e in expected]
+
+    @pytest.mark.parametrize("t", [1, 2, 1023, 1024, 2**20 - 1, 2**20, 2**60])
+    def test_integer_cube_root(self, t):
+        # up to 2^60, the square of the largest bound, neither truncating
+        # nor rounding the float cube root is right every time; at 2^180,
+        # far past it, the float guess falls thousands below t
+        assert [_icbrt(t**3 - 1), _icbrt(t**3), _icbrt(t**3 + 1)] == [t - 1, t, t]
 
     @pytest.mark.parametrize("B", BOUNDS)
     def test_matches_real_definition_off_the_boundary(self, B):
@@ -292,9 +307,9 @@ class TestOrbitReduction:
         monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
         blocks = _pair_blocks(n, B)
         H, start = _histograms(n, blocks, primitive)
-        assert len(H) == sum(Z + 1 for _, _, _, Z in blocks)
+        assert len(H) == sum(Z + 1 for _, _, Z in stream(blocks))
         total = 0
-        for at, (_, m, k, Z) in zip(start.tolist(), blocks):
+        for at, (m, k, Z) in zip(start.tolist(), stream(blocks)):
             assert H[at : at + Z + 1].tolist() == self.literal_block(n, m, k, Z, primitive)
             total += int(H[at : at + Z + 1].sum())
         assert total > 0
@@ -315,7 +330,7 @@ class TestOrbitReduction:
         blocks = _pair_blocks(n, B)
         H, start = _histograms(n, blocks, primitive)
         below = 0
-        for at, (_, m, k, Z) in zip(start.tolist(), blocks):
+        for at, (m, k, Z) in zip(start.tolist(), stream(blocks)):
             assert H[at : at + Z + 1].tolist() == self.literal_block(n, m, k, Z, primitive)
             below += any(scanned[r] > Z for r in self.canonical_rows(n, m, k, primitive))
         assert below > 0
@@ -328,7 +343,7 @@ class TestOrbitReduction:
 
         B = 4096
         blocks = _pair_blocks(1, B)
-        one_width = len(blocks) * (B + 1) * 8
+        one_width = len(blocks[0]) * (B + 1) * 8
         tracemalloc.start()
         try:
             count = count_points(1, B, NAMED_CONVENTIONS["primitive"]).count
@@ -406,14 +421,15 @@ class TestCountPoints:
         monkeypatch.setattr(counting, "_CELL_CHUNK", 40)
         assert count_at_bounds(2, [12, *range(1, 12)], conv) == expected
 
-    @pytest.mark.parametrize("n, B", [(2, 240), (3, 30)])
+    @pytest.mark.parametrize("n, B", [(2, 240), (3, 30), (1, 1000)])
     def test_one_pair_block_per_unordered_magnitude_pair(self, n, B):
         # the stream: every unordered pair with an order in DXY, by k and then
-        # by m from k, at the cap B // (m*k), which DXY leaves whole
+        # by m from k, at the cap B // (m*k), which DXY leaves whole; at the
+        # cube B=1000 both cube roots, 10 and 100, are exact
         def in_dxy(a, b):
             return a * b <= B and a**3 <= B and (a * b) ** 3 <= B**2
 
-        blocks = [(m, k, Z) for _, m, k, Z in _pair_blocks(n, B)]
+        blocks = stream(_pair_blocks(n, B))
         literal = [(m, k, B // (m * k)) for k in range(1, B + 1) for m in range(k, B + 1)
                    if in_dxy(m, k) or in_dxy(k, m)]
         assert blocks == literal
@@ -489,7 +505,7 @@ class TestCountPoints:
                 def rows(a):
                     return a ** (n + 1) - (a - 1) ** (n + 1)
 
-                assert 14 * sum(rows(m) * rows(k) * Z * (2 * Z) ** (n - 1) for _, m, k, Z in blocks) < 2**63
+                assert 14 * sum(rows(m) * rows(k) * Z * (2 * Z) ** (n - 1) for m, k, Z in stream(blocks)) < 2**63
 
 
 @functools.cache
