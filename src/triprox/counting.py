@@ -72,6 +72,12 @@ _ORACLE_OPS_BUDGET = 400_000_000
 # and refuses n=3, B=300 (108M cells per row).
 _Z_GRID_BUDGET = 1 << 25
 
+# Largest table of z_2..z_n points, (2Z)^(n-1), that the kernel holds in
+# several float32 arrays at once.  It refuses n=10 at B=3, n=13 at B=2 and
+# n >= 24 at B=1; the largest tables it admits (n=23, B=1 and n=12, B=2)
+# peak at about 114 MB.
+_Z_TABLE_BUDGET = 1 << 22
+
 # Largest number of kernel cells, rows x Z*(2Z)^(n-1) summed over the pair
 # blocks of one count, that the engine takes on.  The rows are counted per
 # block, before the count scans each canonical row once, so the sum is an
@@ -158,10 +164,11 @@ def _validate_bound(B: int) -> None:
 
 
 def _check_z_grid(n: int, Z: int) -> None:
-    """Refuse a kernel z-grid (Z*(2Z)^(n-1) cells) beyond the kernel budget.
+    """Refuse a kernel z-grid of Z*(2Z)^(n-1) cells beyond the kernel budget,
+    or a table of (2Z)^(n-1) points z_2..z_n beyond the table budget.
 
     The product is built one factor at a time and left as soon as it passes
-    the budget, so a huge n costs a few multiplications, not a huge integer.
+    the cell budget, so a huge n costs a few multiplications, not a huge integer.
     """
     cells = Z
     for _ in range(n - 1):
@@ -171,6 +178,10 @@ def _check_z_grid(n: int, Z: int) -> None:
     if cells > _Z_GRID_BUDGET:
         raise BudgetExceededError(
             f"z-grid Z*(2Z)^(n-1) (n={n}, Z={Z}) exceeds the {_Z_GRID_BUDGET}-cell kernel budget"
+        )
+    if cells > Z * _Z_TABLE_BUDGET:
+        raise BudgetExceededError(
+            f"z-table (2Z)^(n-1) (n={n}, Z={Z}) exceeds the {_Z_TABLE_BUDGET}-point kernel budget"
         )
 
 

@@ -125,6 +125,13 @@ class TestCount:
         monkeypatch.setattr(counting, "_grid", no_grid)
         assert main(["count", "--n", "3", "--bound", "2000"]) == EXIT_BUDGET
 
+    @pytest.mark.parametrize("n, bound", [(24, 1), (10, 3), (13, 2)])
+    def test_large_z_table_refused_quickly(self, n, bound, capsys):
+        t0 = time.perf_counter()
+        assert main(["count", "--n", str(n), "--bound", str(bound)]) == EXIT_BUDGET
+        assert time.perf_counter() - t0 < 1.0
+        assert f"z-table (2Z)^(n-1) (n={n}, Z={bound})" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", [10**8, 10**12])
     def test_huge_dimension_refused_quickly(self, n, capsys):
         t0 = time.perf_counter()

@@ -71,6 +71,14 @@ class TestCountZ:
         with pytest.raises(BudgetExceededError):
             _check_z_grid(3, 300)
 
+    @pytest.mark.parametrize("n, Z", [(24, 1), (13, 2), (10, 3)])
+    def test_z_table_budget(self, n, Z):
+        # within the cell budget, but (2Z)^(n-1) > 2^22 points of z_2..z_n,
+        # while one dimension less is admitted
+        _check_z_grid(n - 1, Z)
+        with pytest.raises(BudgetExceededError, match="z-table"):
+            _check_z_grid(n, Z)
+
 
 class TestPredicates:
     """The sign-fix and primitivity predicates shared by the engine and the oracle."""
@@ -403,11 +411,13 @@ class TestCountPoints:
         with pytest.raises(ValueError):
             count_points(2, 0, ALL)
 
-    @pytest.mark.parametrize("n, expected", [(20, 0), (21, math.comb(22, 11) * 4**22)])
+    @pytest.mark.parametrize("n, expected", [(20, 0), (21, math.comb(22, 11) * 4**22),
+                                             (23, math.comb(24, 12) * 4**24)])
     def test_orbit_sizes_where_the_factorial_passes_int64(self, n, expected):
-        # 21! and 22! are past int64, the orbit sizes at B=1 are not: 21
+        # 21! to 24! are past int64, the orbit sizes at B=1 are not: 21
         # coordinates of +-1 never sum to 0, and 22 do in C(22, 11) ways for
-        # each of the 4^22 signings of x and y
+        # each of the 4^22 signings of x and y.  n=23 has the largest z-table
+        # admitted, 2^22 points.
         assert count_points(n, 1, ALL).count == expected
 
     @pytest.mark.parametrize("name", ["all", "primitive-signfixed", "E", "E2"])

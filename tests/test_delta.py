@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import triprox.delta_method as delta_method
 from triprox import BudgetExceededError, KernelConfig, bump, bump_integral, delta_series, kernel_h, window
+from triprox.cli import EXIT_NUMERIC, main
 
 C0_GOLDEN = 0.4439938161680786  # frozen from the first converged quadrature run
 
@@ -51,6 +53,22 @@ class TestBumpIntegral:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             bump_integral(0.0)
+
+    def test_correctly_rounded(self):
+        # 0.443993816168079437823... by mpmath.quad at 40 digits, which
+        # rounds to this double
+        assert abs(bump_integral() - 0.44399381616807944) <= 1e-15
+
+    def test_non_converging_integrand(self, monkeypatch):
+        # a step function's trapezoidal sums keep moving by about the step
+        monkeypatch.setattr(delta_method, "bump", lambda x: 1.0 if abs(x) < 1 / 3 else 0.0)
+        delta_method._c0.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError):
+                bump_integral()
+            assert main(["delta", "--Q", "4"]) == EXIT_NUMERIC
+        finally:
+            delta_method._c0.cache_clear()
 
 
 class TestKernelH:

@@ -24,10 +24,6 @@ def run_fresh(code: str):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    assert run_fresh("import json, sys, triprox.cli; print(json.dumps('scipy' in sys.modules))") is False
-
-
 def test_cli_import_leaves_thread_pool_unloaded():
     # the MC imports its thread pool when it runs
     code = "import json, sys, triprox.cli; print(json.dumps('concurrent.futures.thread' in sys.modules))"
@@ -50,21 +46,22 @@ def test_count_threads_leave_process_machinery_unloaded():
     assert run_fresh(code) == [0, [False] * 3, [False] * 3]
 
 
-@pytest.mark.parametrize("argv, loads_scipy", [
-    (["count", "--n", "2", "--bound", "10", "--convention", "primitive"], False),
-    (["compare", "--n", "2", "--bounds", "8,12", "--p-max", "30", "--t-max", "15",
-      "--mc-samples", "20000"], False),
-    (["predict", "--n", "2", "--p-max", "30", "--t-max", "15", "--mc-samples", "20000"], False),
-    (["census", "--n", "2"], False),
-    (["delta", "--Q", "4", "--l-range", "0:1"], True),
-], ids=lambda v: v[0] if isinstance(v, list) else None)
-def test_only_delta_loads_scipy(argv, loads_scipy):
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "2", "--bound", "10", "--convention", "primitive"],
+    ["compare", "--n", "2", "--bounds", "8,12", "--p-max", "30", "--t-max", "15",
+     "--mc-samples", "20000"],
+    ["predict", "--n", "2", "--p-max", "30", "--t-max", "15", "--mc-samples", "20000"],
+    ["census", "--n", "2"],
+    ["delta", "--Q", "4", "--l-range", "0:1"],
+], ids=lambda argv: argv[0])
+def test_no_command_loads_scipy(argv):
+    # sys.modules only grows, so this covers the bare import of triprox.cli
     code = ("import contextlib, io, json, sys\n"
             "from triprox.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    rc = main({argv!r})\n"
             "print(json.dumps([rc, 'scipy' in sys.modules]))")
-    assert run_fresh(code) == [0, loads_scipy]
+    assert run_fresh(code) == [0, False]
 
 
 def test_count_worker_imports_nothing():
