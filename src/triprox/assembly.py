@@ -15,6 +15,7 @@ The predicted leading constant is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .archimedean import ArchEstimate, _check_mc_inputs, sigma_infty_prime
@@ -41,6 +42,9 @@ def census(n: int, mode: str = "formula") -> CensusResult:
     """
     check_dim(n)
     if mode == "formula":
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # str()'s digits, 0: no limit
+        if limit and math.floor((n + 1) * math.log10(4)) >= limit:  # 4^(n+1)'s digits, the count's for n >= 10
+            raise BudgetExceededError(f"census count for n={n} has more than the {limit} digits str() prints")
         count = 4 ** (n + 1) - 3 * 3 ** (n + 1) + 3 * 2 ** (n + 1) - 1
         return CensusResult(count)
     if mode != "oracle":

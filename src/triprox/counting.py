@@ -22,16 +22,18 @@ Two independent implementations share one contract:
   bound, one per unordered pair of magnitudes (DXY and its caps shrink with
   B), and one batched pass (``_histograms``) makes each block's histogram by
   exact max|z| over its coefficient rows x_i*y_i, up to its cap, one segment
-  of a flat array H.  The pass scans each distinct row once, in canonical form
-  and at the largest cap of its blocks, with one ``_kernel_rows`` call per
-  cap (at n=2, B=120 the 44 blocks hold 6,498 rows; 16 calls scan 2,106),
-  all on the calling thread.  Each (bound, order of the pair) of a block
-  adds 3*cum[Z1] - 3*cum[Z12] + cum[Z123] of its segment's prefix sums:
-  one bound for ``count_points``, several for ``count_at_bounds``
-  (``compare``), and every floor(B/t) its Mobius sum reads for
-  ``mobius_count``.  Signs enter through one weight: with x, y, z positive and
-  z_1 >= 1 (negation flips the sign-fix predicate) each block stands for
-  2^(2n+3) signed solutions, halved once per sign-fixed vector.
+  of a flat array H, in stream order.  The pass scans each distinct row once,
+  in canonical form and at the largest cap of its blocks, with one
+  ``_kernel_rows`` call per cap (at n=2, B=120 the 44 blocks hold 6,498
+  rows; 16 calls scan 2,106) on the calling thread; a primitive count
+  Mobius-inverts each such group's rows, and one unbuffered ``np.add.at`` per
+  chunk of incidences adds them, weighted, into the segments.  Each (bound,
+  order of the pair) of a block adds 3*cum[Z1] - 3*cum[Z12] + cum[Z123] of
+  its segment's prefix sums: one bound for ``count_points``, several for
+  ``count_at_bounds`` (``compare``), and every floor(B/t) its Mobius sum
+  reads for ``mobius_count``.  Signs enter through one weight: with x, y, z
+  positive and z_1 >= 1 (negation flips the sign-fix predicate) each block
+  stands for 2^(2n+3) signed solutions, halved once per sign-fixed vector.
 
 * ``count_points_oracle`` -- a deliberately naive scan that enumerates signed
   coordinate tuples directly, tests the trilinear sum literally, and applies
@@ -59,9 +61,9 @@ _MAX_BOUND = 2**30
 
 # Largest number of cells in one array of the vectorized kernel (rows x z
 # cells of one piece, unless one z_1 value of one row is larger), of a chunk
-# of coefficient rows (rows x (n+1)), of a scatter into H (incidences x
-# (Z+1)) or of the terms read from H (bounds x block orders): 128 KiB per
-# float32 kernel buffer and 256 KiB per int64 array.
+# of coefficient rows (rows x (n+1)), of histograms inverted at once or added
+# by one np.add.at (rows or incidences x (Z+1), at least one), or of the terms
+# read from H (bounds x block orders): 128 KiB per float32, 256 per int64 array.
 _CELL_CHUNK = 1 << 15
 _ORACLE_OPS_BUDGET = 400_000_000
 
@@ -439,35 +441,36 @@ def _canonical_rows(n: int, M: np.ndarray, K: np.ndarray, primitive: bool, digit
 
 
 def _count_pair_block(keys: np.ndarray, Z: int, count: np.ndarray, blocks: np.ndarray, weights: np.ndarray,
-                      digits: np.ndarray, start: np.ndarray, caps: np.ndarray, H: np.ndarray) -> None:
+                      digits: np.ndarray, start: np.ndarray, caps: np.ndarray, H: np.ndarray, mu) -> None:
     """Scan one cap group, the packed canonical rows ``keys`` whose blocks'
-    largest cap is Z, with one ``_kernel_rows`` call, and add weight x
-    half-histogram, up to the block's own cap, into the block's segment of
-    H for each incidence (block, weight), count[r] of them for row r, in row
-    order; block b's segment is H[start[b] : start[b] + caps[b] + 1].
-    ``digits`` (ending in the base, 1) unpacks rows."""
+    largest cap is Z, with one ``_kernel_rows`` call, Mobius-invert its rows
+    in place if ``mu`` is given, and add weight x half-histogram up to the
+    block's cap into block b's segment H[start[b] : start[b] + caps[b] + 1]
+    for each incidence (b, weight), count[r] of them for row r, in row order,
+    by one unbuffered ``np.add.at`` per chunk; ``digits`` (base, 1 last) unpacks rows."""
     hist = _kernel_rows((keys[:, None] // digits % digits[-2]).astype(np.int32), Z)
-    rows = np.repeat(np.arange(len(keys), dtype=np.int32), count)
-    h = np.arange(Z + 1)
     chunk = max(1, _CELL_CHUNK // (Z + 1))
+    if mu is not None:  # in place, a chunk of rows at a time, heights first
+        for lo in range(0, len(hist), chunk):
+            hist[lo : lo + chunk] = _mobius_inverse(hist[lo : lo + chunk].T.copy(), mu).T
+    rows = np.repeat(np.arange(0, hist.size, Z + 1), count)  # where each incidence's row starts in the flat hist
     for lo in range(0, len(rows), chunk):
-        order = np.argsort(blocks[lo : lo + chunk], kind="stable") + lo
-        block = blocks[order]
-        first = np.flatnonzero(np.concatenate([[True], block[1:] != block[:-1]]))
-        sums = np.add.reduceat(hist[rows[order]] * weights[order, None], first)
-        block = block[first]  # distinct, so the indexed add below is exact
-        keep = h <= caps[block, None]
-        H[(start[block, None] + h)[keep]] += sums[keep]
+        at = slice(lo, lo + chunk)
+        size = caps[blocks[at]] + 1  # each incidence adds its heights 0..cap
+        h = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        np.add.at(H, np.repeat(start[blocks[at]], size) + h,
+                  hist.reshape(-1)[np.repeat(rows[at], size) + h] * np.repeat(weights[at], size))
 
 
 def _mobius_inverse(H: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """prim[..., h] = sum over d | h of mu(d) * H[..., h/d], for h = 1..Z
-    (prim[..., 0] = 0), Z = H.shape[-1] - 1: one exact strided int64 add per
-    squarefree d <= Z, over every row of H at once."""
-    Z = H.shape[-1] - 1
+    """prim[h] = sum over d | h of mu(d) * H[h/d], for h = 1..Z (prim[0] = 0),
+    Z = len(H) - 1, heights first: one exact int64 add or subtract per
+    squarefree d <= Z, over whole rows H[h] at once.  prim[h] reads only
+    H[:h+1], so the inversion of a prefix is the prefix of the inversion."""
+    Z = len(H) - 1
     prim = np.zeros_like(H)
-    for d in np.flatnonzero(mu[1 : Z + 1]) + 1:
-        prim[..., d::d] += mu[d] * H[..., 1 : Z // d + 1]
+    for d in np.flatnonzero(mu[1 : Z + 1]) + 1:  # mu(d) = +-1: no temporary array
+        (np.add if mu[d] > 0 else np.subtract)(prim[d::d], H[1 : Z // d + 1], out=prim[d::d])
     return prim
 
 
@@ -475,14 +478,13 @@ def _histograms(n: int, blocks: tuple, primitive: bool) -> tuple[np.ndarray, np.
     """(H, start): H[start[i] + h], h <= Z_i, counts the z with z_1 >= 1 and
     max|z| = h over the coefficient rows of the block i of the stream, the
     half that ``_kernel_rows`` scans (primitive z only, with ``primitive``);
-    the segments lie end to end by cap.  One stable argsort of
+    the segments lie end to end in stream order.  One stable argsort of
     ``_canonical_rows``' incidences by packed row makes each canonical row
     one kernel row, scanned at the largest cap of its blocks (a count at h
-    does not depend on the cap).  The cap groups (``_count_pair_block``)
-    are scanned by increasing cap, each dropped once scanned: the widest
-    come last.  Every z of max h is d*z' for its content d and a primitive
-    z' of max h/d, so a primitive count inverts each cap's segments, one
-    matrix, at once."""
+    does not depend on the cap).  The cap groups (``_count_pair_block``) are
+    scanned by increasing cap, each dropped once scanned: the widest come
+    last.  Every z of max h is d*z' for its content d and a primitive z' of
+    max h/d, so a primitive count inverts each group's rows as it scans them."""
     M, K, Zb = blocks
     # m*k <= B bounds every entry, and the z-grid check at (1, 1), where
     # Z = B, bounds 2^(n-1)*B^n by 2^25, so a packed row stays below
@@ -508,18 +510,11 @@ def _histograms(n: int, blocks: tuple, primitive: bool) -> tuple[np.ndarray, np.
         at += np.arange(len(at))
         groups.append((key[lo:hi], Z, runs, block[at], weight[at]))
     del key, block, weight, first, count, cap, by_cap, runs, at
-    order = np.argsort(Zb, kind="stable")
-    ends = np.cumsum(Zb[order] + 1)
-    start = (ends - Zb[order] - 1)[np.argsort(order, kind="stable")]
-    H = np.zeros(int(ends[-1]), dtype=np.int64)
+    start = np.cumsum(Zb + 1) - (Zb + 1)
+    H = np.zeros(int(start[-1] + Zb[-1] + 1), dtype=np.int64)
+    mu = mobius_sieve(int(Zb.max())) if primitive else None
     while groups:
-        _count_pair_block(*groups.pop(), digits, start, Zb, H)
-    if primitive:
-        mu, caps, lo = mobius_sieve(int(Zb.max())), Zb[order].tolist() + [0], 0
-        for j, hi in enumerate(ends.tolist()):
-            if caps[j + 1] != caps[j]:  # the last block of its cap: H[lo:hi] holds that cap's blocks
-                H[lo:hi] = _mobius_inverse(H[lo:hi].reshape(-1, caps[j] + 1), mu).reshape(-1)
-                lo = hi
+        _count_pair_block(*groups.pop(), digits, start, Zb, H, mu)
     return H, start
 
 

@@ -127,8 +127,8 @@ class KernelConfig:
         q = 1 for every l (c_1(l) = 1), and q = 1, |l| = l_max has the widest
         j-windows up to rounding.  ``kernel_h`` still checks every call.
         """
-        if Q < 2:
-            raise ValueError(f"Q must be >= 2, got {Q}")
+        if not 2 <= Q < math.inf:  # also refuses nan
+            raise ValueError(f"Q must be a finite number >= 2, got {Q}")
         if q_max is None:
             q_max = math.ceil(2 * Q)
         if q_max < Q:

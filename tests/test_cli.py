@@ -161,6 +161,16 @@ class TestCensusAndDelta:
         rec = read_jsonl(store)[0]
         assert rec["count"] == 60 and "picard_rank" not in rec
 
+    def test_census_huge_n_refused_before_counting(self, capsys):
+        # n=100000 has 60207 digits, past str()'s default limit of 4300;
+        # n=7000 has 4215 and prints
+        t0 = time.perf_counter()
+        assert main(["census", "--n", "100000"]) == EXIT_BUDGET
+        assert time.perf_counter() - t0 < 1.0
+        assert "n=100000" in capsys.readouterr().err
+        assert main(["census", "--n", "7000"]) == EXIT_OK
+        assert str(4**7001 - 3 * 3**7001 + 3 * 2**7001 - 1) in capsys.readouterr().out
+
     def test_census_budget_exit(self):
         assert main(["census", "--n", "6", "--mode", "oracle"]) == EXIT_BUDGET
 
@@ -172,6 +182,15 @@ class TestCensusAndDelta:
         start = time.perf_counter()
         assert main(["delta", "--Q", "1e9"]) == EXIT_BUDGET
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("q_max", [None, "16"])
+    @pytest.mark.parametrize("Q", ["inf", "nan"])
+    def test_delta_non_finite_Q_is_a_usage_error(self, Q, q_max, capsys, tmp_path):
+        store = tmp_path / "runs.jsonl"
+        argv = ["delta", "--Q", Q, "--out", str(store)] + (["--q-max", q_max] if q_max else [])
+        assert main(argv) == EXIT_USAGE
+        assert f"Q must be a finite number >= 2, got {Q}" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_delta_kernel_term_budget_exit(self):
         start = time.perf_counter()

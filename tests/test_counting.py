@@ -275,7 +275,7 @@ class TestMobiusInverse:
         H = rng.integers(-(10**12), 10**12, size=(len(caps), Z + 1))
         H[:, 0] = 0
         mu = mobius_sieve(Z + 7)
-        prim = _mobius_inverse(H, mu)
+        prim = _mobius_inverse(H.T, mu).T  # heights first: one column per row of H
         assert prim.shape == H.shape
         for row, hist, cap in zip(prim.tolist(), H, caps):
             literal = np.zeros(cap + 1, dtype=np.int64)
@@ -678,6 +678,18 @@ class TestMobiusIdentity:
     def test_n3_matches_direct_primitive_count(self):
         direct = count_points(3, 8, NAMED_CONVENTIONS["primitive"]).count
         assert mobius_count(3, 8, frozenset()) == direct
+
+    def test_n1_matches_direct_primitive_count(self):
+        direct = count_points(1, 4096, NAMED_CONVENTIONS["primitive"]).count
+        assert mobius_count(1, 4096) == direct == 1560992
+
+    def test_n1_one_incidence_per_step(self, monkeypatch):
+        # every cap group above 39 adds one incidence per step of 40 cells:
+        # the primitive route inverts each group's rows, the Mobius route
+        # reads every floor(B/t), and both keep the count of the default chunk
+        expected = count_points(1, 300, NAMED_CONVENTIONS["primitive"]).count
+        monkeypatch.setattr(counting, "_CELL_CHUNK", 40)
+        assert mobius_count(1, 300) == count_points(1, 300, NAMED_CONVENTIONS["primitive"]).count == expected
 
     def test_chunk_invariance(self, monkeypatch):
         # the Mobius sum reads the terms of every divisor bound in pieces of
