@@ -21,7 +21,8 @@ reduced with math.fsum in block order.  Results are bit-identical across runs.
 Each thread of a small pool (numpy releases the GIL in the fill and in the
 ufuncs) takes the next block from one shared range iterator, whose next()
 holds the GIL, so only one task per thread is queued.  A block is drawn from
-its own stream in slices of _SLICE rows, one after another, so the slices draw
+its own stream in slices of _SLICE rows, one after another, into a slice buffer
+and a block array that each thread allocates once and reuses; the slices draw
 exactly the doubles of one whole-block draw; 2U - 1 equals uniform(-1, 1) bit
 for bit (2U is exact and IEEE addition commutes), the integrands act row by
 row, and each block's sums are taken over the whole block in row order.  So
@@ -111,24 +112,23 @@ def _mc_blocks(samples: int, dims: int, seed: int, tag: int, f_of_block):
 
     _check_mc_inputs(samples, seed)
 
-    def block_sums(block):
-        rng = _block_rng(seed, tag, block)
-        f = np.empty(min(_BLOCK, samples - block * _BLOCK))
-        for lo in range(0, len(f), _SLICE):
-            pts = rng.random((min(_SLICE, len(f) - lo), dims))
-            pts *= 2.0
-            pts -= 1.0
-            f[lo : lo + len(pts)] = f_of_block(pts)
-        total = float(f.sum())
-        f *= f  # in place: the bits of (f * f).sum()
-        return total, float(f.sum())
-
     results = [None] * -(-samples // _BLOCK)
     blocks = iter(range(len(results)))
 
     def drain(_):
+        # One block array and one slice buffer per thread, reused by its blocks.
+        f_buf, pts_buf = np.empty(min(_BLOCK, samples)), np.empty((min(_SLICE, samples), dims))
         for block in blocks:
-            results[block] = block_sums(block)
+            rng = _block_rng(seed, tag, block)
+            f = f_buf[: min(_BLOCK, samples - block * _BLOCK)]
+            for lo in range(0, len(f), _SLICE):
+                pts = rng.random(out=pts_buf[: min(_SLICE, len(f) - lo)])
+                pts *= 2.0
+                pts -= 1.0
+                f[lo : lo + len(pts)] = f_of_block(pts)
+            total = float(f.sum())
+            f *= f  # in place: the bits of (f * f).sum()
+            results[block] = total, float(f.sum())
 
     workers = min(4, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .archimedean import ArchEstimate, _check_mc_inputs, sigma_infty_prime
+from .archimedean import ArchEstimate, _check_indices, _check_mc_inputs, sigma_infty_prime
 from .errors import BudgetExceededError
 from .lattice import check_dim
 from .local_densities import EulerProductResult, euler_product
@@ -81,7 +81,7 @@ def predicted_constant(n: int, p_max: int, t_max: int, mc_samples: int, seed: in
     the Euler-product tail estimate in quadrature.  The MC runs once;
     sigma_inf_prime.components holds its diagonal/off-diagonal split.
     """
-    check_dim(n)
+    _check_indices(n, 0)  # check_dim, and the MC's n < 64, before the Euler product
     if n < 2:
         raise ValueError("the predicted constant requires n >= 2 (the Euler product diverges at n=1)")
     _check_mc_inputs(mc_samples, seed)  # before the Euler product, which can take a while

@@ -179,7 +179,8 @@ def _densities(p: np.ndarray, n: int, t_max: int) -> tuple[np.ndarray, np.ndarra
             break
 
     tail = np.zeros(len(p))
-    live = np.arange(len(p))
+    # Where p^(-n t) <= 2^-1080, far below 2^-1075, pow rounds every g to 0.0: tail stays 0.0.
+    live = np.flatnonzero(n * (t_max + 1) * np.log2(p) < 1080)
     t = t_max + 1
     while len(live):
         g = (1.0 + t) ** e * _pow(p[live], -n * t)

@@ -291,6 +291,16 @@ class TestPredictAndCompare:
         assert main(["predict", "--n", "2", "--p-max", "1000000", *bad, "--out", str(store)]) == EXIT_USAGE
         assert not store.exists()
 
+    def test_n_beyond_the_stream_tags_refused_before_the_euler_product(self, tmp_path, capsys, monkeypatch):
+        def no_product(*args, **kwargs):
+            raise AssertionError("the Euler product must not run")
+
+        monkeypatch.setattr(assembly, "euler_product", no_product)
+        store = tmp_path / "runs.jsonl"
+        assert main(["predict", "--n", "64", "--p-max", "1000000", "--out", str(store)]) == EXIT_USAGE
+        assert "MC stream tags need n < 64" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_predict_prints_the_parents_density_table(self, capsys):
         assert main(["predict", "--n", "2", "--p-max", "30", "--t-max", "15",
                      "--mc-samples", "20000", "--seed", "3"]) == EXIT_OK

@@ -87,3 +87,22 @@ def test_count_worker_imports_nothing():
     marks, imported = run_fresh(code)
     assert 0 < marks[0] < marks[1] < marks[2]
     assert imported == []
+
+
+def test_prime_table_is_a_small_read_only_int32_view():
+    # 78,498 primes at 4 bytes each: a tuple of Python ints added about 4.6 MB
+    code = ("import json, resource\n"
+            "from triprox.arith import prime_table\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "table = prime_table()\n"
+            "grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024\n"
+            "try:\n"
+            "    table[0] = 2\n"
+            "    refused = False\n"
+            "except TypeError:\n"
+            "    refused = True\n"
+            "types = sorted({type(p).__name__ for p in table})\n"
+            "print(json.dumps([grown, len(table), table[-1], types, refused]))")
+    grown, size, last, types, refused = run_fresh(code)
+    assert grown < 1.5
+    assert (size, last, types, refused) == (78498, 999983, ["int"], True)
