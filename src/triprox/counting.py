@@ -22,18 +22,22 @@ Two independent implementations share one contract:
   bound, one per unordered pair of magnitudes (DXY and its caps shrink with
   B), and one batched pass (``_histograms``) makes each block's histogram by
   exact max|z| over its coefficient rows x_i*y_i, up to its cap, one segment
-  of a flat array H, in stream order.  The pass scans each distinct row once,
-  in canonical form and at the largest cap of its blocks, with one
-  ``_kernel_rows`` call per cap (at n=2, B=120 the 44 blocks hold 6,498
-  rows; 16 calls scan 2,106) on the calling thread; a primitive count
-  Mobius-inverts each such group's rows, and one unbuffered ``np.add.at`` per
-  chunk of incidences adds them, weighted, into the segments.  Each (bound,
-  order of the pair) of a block adds 3*cum[Z1] - 3*cum[Z12] + cum[Z123] of
-  its segment's prefix sums: one bound for ``count_points``, several for
-  ``count_at_bounds`` (``compare``), and every floor(B/t) its Mobius sum
-  reads for ``mobius_count``.  Signs enter through one weight: with x, y, z
-  positive and z_1 >= 1 (negation flips the sign-fix predicate) each block
-  stands for 2^(2n+3) signed solutions, halved once per sign-fixed vector.
+  of a flat array H, in stream order.  It scans each distinct canonical row
+  c (sorted, divided by its gcd) once, from the closed form: the entries of
+  a row of (m, k) are at most mk <= r2, and the block (max c, 1) holds c, so
+  the rows are the primitive nondecreasing vectors of max <= r2 (``_orbits``),
+  each at its largest cap B // max c.  One ``_kernel_rows`` call per cap
+  counts every z (at n=2, B=120 the 44 blocks hold 6,498 rows; 16 calls
+  scan 2,106 in 309,392 cells), one unbuffered ``np.add.at`` per chunk of
+  incidences adds them, weighted, into the segments, and a primitive count
+  then applies z-primitivity once per segment, by Mobius inversion.  Each
+  (bound, order of the pair) of a block adds 3*cum[Z1] - 3*cum[Z12] +
+  cum[Z123] of its segment's prefix sums: one bound for ``count_points``,
+  several for ``count_at_bounds`` (``compare``), and every floor(B/t) its
+  Mobius sum reads for ``mobius_count``.  Signs enter through one weight:
+  with x, y, z positive and z_1 >= 1 (negation flips the sign-fix
+  predicate) each block stands for 2^(2n+3) signed solutions, halved once
+  per sign-fixed vector.
 
 * ``count_points_oracle`` -- a deliberately naive scan that enumerates signed
   coordinate tuples directly, tests the trilinear sum literally, and applies
@@ -61,9 +65,9 @@ _MAX_BOUND = 2**30
 
 # Largest number of cells in one array of the vectorized kernel (rows x z
 # cells of one piece, unless one z_1 value of one row is larger), of a chunk
-# of coefficient rows (rows x (n+1)), of histograms inverted at once or added
-# by one np.add.at (rows or incidences x (Z+1), at least one), or of the terms
-# read from H (bounds x block orders): 128 KiB per float32, 256 per int64 array.
+# of coefficient rows (rows x (n+1)), of histograms added by one np.add.at
+# (incidences x (Z+1), at least one), or of the terms read from H (bounds x
+# block orders): 128 KiB per float32, 256 per int64 array.
 _CELL_CHUNK = 1 << 15
 _ORACLE_OPS_BUDGET = 400_000_000
 
@@ -224,9 +228,8 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
     every product and partial sum is then an integer float32 holds exactly,
     and a quotient with a remainder lies at least 1/C[r,0] from every
     integer, farther than its rounding error |s|/C[r,0] * 2^-24.  A
-    canonical row has max(C)*Z <= B at its cap (a block's entries are at
-    most m*k and its cap at most B/(m*k)), and the z-grid budget keeps n*B
-    far below 2^24 (n=1 stops at the cell budget near B=2^17).  q then
+    canonical row's cap is B // max(C), and the z-grid budget keeps n*B far
+    below 2^24 (n=1 stops at the cell budget near B=2^17).  q then
     holds |z_0| on the accepted cells; two broadcast maxima, against z_1
     and against the max|z_2..z_n| of each of the (2Z)^(n-1) points, and a
     row offset turn it into the histogram index, which the accepted cells
@@ -381,9 +384,9 @@ def _pair_blocks(n: int, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(M), np.array(K), np.array(Z)
 
 
-def _canonical_rows(n: int, M: np.ndarray, K: np.ndarray, primitive: bool, digits: np.ndarray):
-    """The stream's coefficient rows as (packed canonical row, block, orbit
-    weight) incidences, one per distinct pair in a chunk of rows.
+def _canonical_rows(n: int, M: np.ndarray, K: np.ndarray, primitive: bool):
+    """The rows the stream scans and its (row, block, orbit weight)
+    incidences, one per distinct pair in a chunk of rows, sorted by row.
 
     The block (m, k) has the rows p*q (entrywise) for p, q of exact max m, k
     (p*q = q*p).  With the orbit representatives r of every m sorted by m
@@ -395,11 +398,17 @@ def _canonical_rows(n: int, M: np.ndarray, K: np.ndarray, primitive: bool, digit
     their gcd, which keeps its half-histogram: c and c/g have the same
     solutions, a permutation of c permutes the coordinates of each, and
     z -> -z splits each height's solutions evenly by the sign of any one
-    coordinate.  It is packed into one int64 as digits in ``digits``' base.
-    """
-    # int32 rows: their entries are at most m*k <= B <= 2^30
+    coordinate.  The canonical rows are the primitive representatives of
+    ``_orbits`` (r2 = M.max()), whose order is that of their keys packed with
+    the last entry most significant: a row's id is its key's rank."""
+    # int32 rows: their entries are at most r2 <= B <= 2^30
     R, sizes = _orbits(n, int(M.max()), primitive)
     ms = R[:, -1]
+    rows = R if primitive else R[_primitive_mask(R)]
+    # (r2+1)^(n+1) <= (2B)^(n+1), and the z-grid check at (1, 1), where
+    # Z = B, bounds 2^(n-1)*B^n by 2^25, so a key stays below 2^27*B <= 2^57
+    digits = (int(M.max()) + 1) ** np.arange(n + 1, dtype=np.int64)
+    keys = (rows * digits).sum(axis=1)
     shells = []  # (block of m minus m, Q_k, first and end representative) per k
     for b0 in np.flatnonzero(np.diff(K, prepend=0)):
         k = int(K[b0])
@@ -411,9 +420,9 @@ def _canonical_rows(n: int, M: np.ndarray, K: np.ndarray, primitive: bool, digit
         shells.append((b0 - k, Q, *np.searchsorted(ms, [k, M[end - 1] + 1])))
     # Room for one incidence per row, filled from the front: the untouched
     # pages never become resident.  The incidences are a count's largest
-    # arrays: blocks take the smallest type, weights int32 if they fit.
+    # arrays: row ids int32, blocks the smallest type, weights int32 if they fit.
     size = sum((hi - lo) * len(Q) for _, Q, lo, hi in shells)
-    key, weight = np.empty(size, np.int64), np.empty(size, np.int64)
+    row, weight = np.empty(size, np.int32), np.empty(size, np.int64)
     block = np.empty(size, np.min_scalar_type(len(M)))
     used = 0
     for offset, Q, lo, hi in shells:
@@ -432,34 +441,35 @@ def _canonical_rows(n: int, M: np.ndarray, K: np.ndarray, primitive: bool, digit
             new = (packed[1:] != packed[:-1]) | (owner[1:] != owner[:-1])
             first = np.flatnonzero(np.concatenate([[True], new]))
             end = used + len(first)
-            key[used:end] = packed[first]
+            row[used:end] = np.searchsorted(keys, packed[first])  # sorted: each search starts at the last
             block[used:end] = owner[first]
             weight[used:end] = np.add.reduceat(np.repeat(sizes[reps], len(Q))[order], first)
             used = end
     weight = weight[:used]
-    return key[:used], block[:used], weight.astype(np.int32) if weight.max() < 2**31 else weight
+    weight = weight.astype(np.int32) if weight.max() < 2**31 else weight
+    # one statement per permuted array, each old one dropped as it is replaced
+    order = np.argsort(row[:used], kind="stable")
+    row = row[order]
+    block = block[order]
+    weight = weight[order]
+    return rows, row, block, weight
 
 
-def _count_pair_block(keys: np.ndarray, Z: int, count: np.ndarray, blocks: np.ndarray, weights: np.ndarray,
-                      digits: np.ndarray, start: np.ndarray, caps: np.ndarray, H: np.ndarray, mu) -> None:
-    """Scan one cap group, the packed canonical rows ``keys`` whose blocks'
-    largest cap is Z, with one ``_kernel_rows`` call, Mobius-invert its rows
-    in place if ``mu`` is given, and add weight x half-histogram up to the
-    block's cap into block b's segment H[start[b] : start[b] + caps[b] + 1]
-    for each incidence (b, weight), count[r] of them for row r, in row order,
-    by one unbuffered ``np.add.at`` per chunk; ``digits`` (base, 1 last) unpacks rows."""
-    hist = _kernel_rows((keys[:, None] // digits % digits[-2]).astype(np.int32), Z)
+def _count_pair_block(C: np.ndarray, Z: int, row: np.ndarray, blocks: np.ndarray, weights: np.ndarray,
+                      start: np.ndarray, caps: np.ndarray, H: np.ndarray) -> None:
+    """Scan the canonical rows C, all of cap Z, with one ``_kernel_rows``
+    call, and add weight x half-histogram of row C[r] up to the block's cap
+    into block b's segment H[start[b] : start[b] + caps[b] + 1] for each
+    incidence (r, b, weight) of ``row``, ``blocks`` and ``weights``, by one
+    unbuffered ``np.add.at`` per chunk of incidences."""
+    hist = _kernel_rows(C, Z).reshape(-1)
     chunk = max(1, _CELL_CHUNK // (Z + 1))
-    if mu is not None:  # in place, a chunk of rows at a time, heights first
-        for lo in range(0, len(hist), chunk):
-            hist[lo : lo + chunk] = _mobius_inverse(hist[lo : lo + chunk].T.copy(), mu).T
-    rows = np.repeat(np.arange(0, hist.size, Z + 1), count)  # where each incidence's row starts in the flat hist
-    for lo in range(0, len(rows), chunk):
+    for lo in range(0, len(row), chunk):
         at = slice(lo, lo + chunk)
         size = caps[blocks[at]] + 1  # each incidence adds its heights 0..cap
         h = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
         np.add.at(H, np.repeat(start[blocks[at]], size) + h,
-                  hist.reshape(-1)[np.repeat(rows[at], size) + h] * np.repeat(weights[at], size))
+                  hist[np.repeat(row[at] * np.intp(Z + 1), size) + h] * np.repeat(weights[at], size))
 
 
 def _mobius_inverse(H: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -478,43 +488,30 @@ def _histograms(n: int, blocks: tuple, primitive: bool) -> tuple[np.ndarray, np.
     """(H, start): H[start[i] + h], h <= Z_i, counts the z with z_1 >= 1 and
     max|z| = h over the coefficient rows of the block i of the stream, the
     half that ``_kernel_rows`` scans (primitive z only, with ``primitive``);
-    the segments lie end to end in stream order.  One stable argsort of
-    ``_canonical_rows``' incidences by packed row makes each canonical row
-    one kernel row, scanned at the largest cap of its blocks (a count at h
-    does not depend on the cap).  The cap groups (``_count_pair_block``) are
-    scanned by increasing cap, each dropped once scanned: the widest come
-    last.  Every z of max h is d*z' for its content d and a primitive z' of
-    max h/d, so a primitive count inverts each group's rows as it scans them."""
+    the segments lie end to end in stream order.  The rows of
+    ``_canonical_rows`` come by max, each scanned at its largest cap B // max
+    (B = Zb[0]), so each cap's rows are one slice; ``_count_pair_block``
+    scans the slices by increasing cap, the widest last.  Every z of max h
+    is d*z' for its content d and a primitive z' of max h/d, so a primitive
+    count then Mobius-inverts H, one ``_mobius_inverse`` per block cap over
+    that cap's segments."""
     M, K, Zb = blocks
-    # m*k <= B bounds every entry, and the z-grid check at (1, 1), where
-    # Z = B, bounds 2^(n-1)*B^n by 2^25, so a packed row stays below
-    # (2B)^(n+1) <= 2^27*B <= 2^52, well inside int64
-    digits = (int((M * K).max()) + 1) ** np.arange(n, -1, -1, dtype=np.int64)
-    # one statement per permuted array, each dropped once the groups hold their parts
-    key, block, weight = _canonical_rows(n, M, K, primitive, digits)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    block = block[order]
-    weight = weight[order]
-    del order
-    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    count, cap = np.diff(first, append=len(key)), np.maximum.reduceat(Zb[block], first)
-    # the rows by decreasing cap, each with its run of incidences
-    by_cap = np.argsort(-cap, kind="stable")
-    key, cap, first, count = key[first[by_cap]], cap[by_cap], first[by_cap], count[by_cap]
-    starts = np.flatnonzero(np.concatenate([[True], cap[1:] != cap[:-1], [True]]))
-    groups = []
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        Z, runs = int(cap[lo]), count[lo:hi]
-        at = np.repeat(first[lo:hi] - (np.cumsum(runs) - runs), runs)
-        at += np.arange(len(at))
-        groups.append((key[lo:hi], Z, runs, block[at], weight[at]))
-    del key, block, weight, first, count, cap, by_cap, runs, at
+    B = int(Zb[0])
+    rows, row, block, weight = _canonical_rows(n, M, K, primitive)
+    cap = B // rows[:, -1]
     start = np.cumsum(Zb + 1) - (Zb + 1)
     H = np.zeros(int(start[-1] + Zb[-1] + 1), dtype=np.int64)
-    mu = mobius_sieve(int(Zb.max())) if primitive else None
-    while groups:
-        _count_pair_block(*groups.pop(), digits, start, Zb, H, mu)
+    bounds = np.flatnonzero(np.concatenate([[True], cap[1:] != cap[:-1], [True]]))
+    edges = np.searchsorted(row, bounds)  # where each cap's incidences start
+    for i in reversed(range(len(bounds) - 1)):
+        (lo, hi), (a, b) = bounds[i : i + 2], edges[i : i + 2]
+        row[a:b] -= lo  # in place: ids into the cap's own rows
+        _count_pair_block(rows[lo:hi], int(cap[lo]), row[a:b], block[a:b], weight[a:b], start, Zb, H)
+    if primitive:
+        mu = mobius_sieve(B)
+        for Z in set(Zb.tolist()):
+            at = start[Zb == Z] + np.arange(Z + 1)[:, None]  # heights first
+            H[at] = _mobius_inverse(H[at], mu)
     return H, start
 
 

@@ -46,6 +46,8 @@ def bump_integral(tol: float = 1e-12) -> float:
     N = 16, 32, ..., 2^16 equal steps, at the nodes -1 + 2i/N (exact in
     binary; the end nodes, where the bump is 0, are left out), until two
     successive sums agree within ``tol``; ArithmeticError if none do.
+    The stop is sound only because every derivative of the bump vanishes at
+    +-1: in place of the bump, the step 1 for x < 0.1 (integral 1.1) gives 1.09375.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")

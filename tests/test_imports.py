@@ -106,3 +106,22 @@ def test_prime_table_is_a_small_read_only_int32_view():
     grown, size, last, types, refused = run_fresh(code)
     assert grown < 1.5
     assert (size, last, types, refused) == (78498, 999983, ["int"], True)
+
+
+def test_every_traced_boundary_exists():
+    # perfbench/tracing.py wraps each (module, name) of BOUNDARIES and skips
+    # a missing one, so a rename would only drop metrics from the benchmark;
+    # here it fails the tests.  The file is loaded by path, as it stands.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    code = ("import importlib, importlib.util, json, sys\n"
+            f"spec = importlib.util.spec_from_file_location('tracing', {str(path)!r})\n"
+            "tracing = importlib.util.module_from_spec(spec)\n"
+            "sys.modules['tracing'] = tracing\n"
+            "spec.loader.exec_module(tracing)\n"
+            "names = [(mod, attr) for mod, attr, *_ in tracing.BOUNDARIES]\n"
+            "missing = [[mod, attr] for mod, attr in names\n"
+            "           if not callable(getattr(importlib.import_module('triprox.' + mod), attr, None))]\n"
+            "print(json.dumps([len(names), missing]))")
+    size, missing = run_fresh(code)
+    assert size > 0
+    assert missing == []
