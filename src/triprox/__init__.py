@@ -11,7 +11,6 @@ from .archimedean import (
     mc_sigma2,
     mc_sigma_diag,
     mc_sigma_prime,
-    sigma_infty,
     sigma_infty_components,
     sigma_infty_prime,
 )

@@ -47,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import check_dim
+from .errors import check_dim
 
 _BLOCK = 1 << 16
 _SLICE = _BLOCK // 8  # rows drawn at a time: caps a thread's working set, not the bits
@@ -71,7 +71,7 @@ _TARGET_CODE = {t: i for i, t in enumerate(Target)}
 class ArchEstimate:
     mean: float
     stderr: float
-    # sigma_infty(_prime) only: the sigma_infty_components it was built from.
+    # sigma_infty_prime only: the sigma_infty_components it was built from.
     components: dict | None = None
 
 
@@ -319,20 +319,14 @@ def sigma_infty_components(n: int, samples: int, seed: int) -> dict:
     }
 
 
-def sigma_infty(n: int, samples: int, seed: int) -> ArchEstimate:
-    """Assembled density: (n+1) diagonal copies plus n(n+1) ordered off-diagonal
-    pairs, each pair contributing both branches (coordinate symmetry)."""
+def sigma_infty_prime(n: int, samples: int, seed: int) -> ArchEstimate:
+    """Rescaled density sigma_inf' = (n/2) * sigma_inf, the unprimed density
+    assembled from (n+1) diagonal copies plus n(n+1) ordered off-diagonal
+    pairs, each pair contributing both branches (coordinate symmetry).  The
+    direct max-extracted estimators are never used here."""
     parts = sigma_infty_components(n, samples, seed)
     diag, off1, off2 = parts["diag"], parts["off1"], parts["off2"]
-    mean = parts["diagonal_total"] + parts["offdiagonal_total"]
     var = ((n + 1) * diag.stderr) ** 2 + (n * (n + 1)) ** 2 * (off1.stderr**2 + off2.stderr**2)
-    return ArchEstimate(mean, math.sqrt(var), parts)
-
-
-def sigma_infty_prime(n: int, samples: int, seed: int) -> ArchEstimate:
-    """Ground truth for the rescaled density: defined as (n/2) times the
-    assembled unprimed density, which is unambiguous; the direct max-extracted
-    estimators are never used here."""
-    base = sigma_infty(n, samples, seed)
     scale = n / 2.0
-    return ArchEstimate(scale * base.mean, scale * base.stderr, base.components)
+    return ArchEstimate(scale * (parts["diagonal_total"] + parts["offdiagonal_total"]),
+                        scale * math.sqrt(var), parts)

@@ -10,7 +10,6 @@ items index, slice and iterate as Python ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,15 +41,8 @@ def is_prime(q: int) -> bool:
     raise ValueError(f"{q} too large for the 10**6 trial-division table")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """value = prod(p**e for p, e in factors), primes strictly increasing."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-
-def factorize(q: int) -> Factorization:
+def factorize(q: int) -> list[tuple[int, int]]:
+    """The (p, e) pairs with q = prod(p**e), primes strictly increasing."""
     if q < 1:
         raise ValueError(f"need a positive integer, got {q}")
     rem = q
@@ -68,7 +60,7 @@ def factorize(q: int) -> Factorization:
         if rem > _SIEVE_LIMIT**2:
             raise ValueError(f"{q} has a factor too large for the trial-division table")
         factors.append((rem, 1))
-    return Factorization(q, tuple(factors))
+    return factors
 
 
 def mobius(k: int) -> int:
@@ -76,7 +68,7 @@ def mobius(k: int) -> int:
     if k < 1:
         raise ValueError(f"need a positive integer, got {k}")
     result = 1
-    for _, e in factorize(k).factors:
+    for _, e in factorize(k):
         if e > 1:
             return 0
         result = -result
@@ -88,7 +80,7 @@ def euler_phi(q: int) -> int:
     if q < 1:
         raise ValueError(f"need a positive integer, got {q}")
     result = q
-    for p, _ in factorize(q).factors:
+    for p, _ in factorize(q):
         result -= result // p
     return result
 
@@ -96,7 +88,7 @@ def euler_phi(q: int) -> int:
 def divisor_count(q: int) -> int:
     """Number of divisors tau(q) via factorization."""
     result = 1
-    for _, e in factorize(q).factors:
+    for _, e in factorize(q):
         result *= e + 1
     return result
 

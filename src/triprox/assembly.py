@@ -19,8 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .archimedean import ArchEstimate, _check_indices, _check_mc_inputs, sigma_infty_prime
-from .errors import BudgetExceededError
-from .lattice import check_dim
+from .errors import BudgetExceededError, check_dim
 from .local_densities import EulerProductResult, euler_product
 
 _CENSUS_ORACLE_MAX_N = 4

@@ -4,8 +4,8 @@ checks, the singular census, and empirical-versus-predicted comparisons.
 Records are appended to a JSON-lines store (one self-describing record per
 line, fixed key order); tabular exports are RFC-4180 CSV with a header row
 and '.' decimal separator.  All randomness enters through --seed (default 0,
-never time-based).  Exit codes: 0 success, 2 usage error, 3 numeric/overflow
-error, 4 budget-guard refusal.
+never time-based).  Exit codes: 0 success, 2 usage error (an unwritable
+--out or --csv included), 3 numeric/overflow error, 4 budget-guard refusal.
 """
 
 from __future__ import annotations
@@ -190,6 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The options of the predicted constant, shared by predict and compare.
+    prediction = argparse.ArgumentParser(add_help=False)
+    prediction.add_argument("--n", type=int, required=True)
+    prediction.add_argument("--p-max", type=int, default=1000)
+    prediction.add_argument("--t-max", type=int, default=40)
+    prediction.add_argument("--mc-samples", type=int, default=1_000_000)
+    prediction.add_argument("--seed", type=int, default=0)
+
     p_count = sub.add_parser("count", help="exact solution counts of bounded height")
     p_count.add_argument("--n", type=int, required=True, help="ambient dimension")
     p_count.add_argument("--bound", type=_parse_int_list, required=True,
@@ -202,12 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--out", default=None, help="JSON-lines store to append to")
     p_count.set_defaults(func=cmd_count)
 
-    p_pred = sub.add_parser("predict", help="predicted leading constant")
-    p_pred.add_argument("--n", type=int, required=True)
-    p_pred.add_argument("--p-max", type=int, default=1000)
-    p_pred.add_argument("--t-max", type=int, default=40)
-    p_pred.add_argument("--mc-samples", type=int, default=1_000_000)
-    p_pred.add_argument("--seed", type=int, default=0)
+    p_pred = sub.add_parser("predict", parents=[prediction], help="predicted leading constant")
     p_pred.add_argument("--out", default=None)
     p_pred.set_defaults(func=cmd_predict)
 
@@ -225,13 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--out", default=None)
     p_census.set_defaults(func=cmd_census)
 
-    p_cmp = sub.add_parser("compare", help="empirical counts against the predicted constant")
-    p_cmp.add_argument("--n", type=int, required=True)
+    p_cmp = sub.add_parser("compare", parents=[prediction],
+                           help="empirical counts against the predicted constant")
     p_cmp.add_argument("--bounds", type=_parse_int_list, required=True)
-    p_cmp.add_argument("--p-max", type=int, default=1000)
-    p_cmp.add_argument("--t-max", type=int, default=40)
-    p_cmp.add_argument("--mc-samples", type=int, default=1_000_000)
-    p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--csv", default=None, help="CSV export path")
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)
@@ -253,7 +252,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error (numeric): {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -56,8 +56,7 @@ from enum import Enum
 import numpy as np
 
 from .arith import mobius_sieve
-from .errors import BudgetExceededError, OverflowGuardError
-from .lattice import check_dim
+from .errors import BudgetExceededError, OverflowGuardError, check_dim
 
 # int64 headroom: coefficients |c_i| <= a*b <= B and partial sums are at most
 # (n+1)*B*Z <= (n+1)*B^2, so B is capped well below the exact range.

@@ -46,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import _SIEVE_LIMIT, euler_phi, factorize, is_prime, prime_table
-from .errors import BudgetExceededError
-from .lattice import check_dim
+from .errors import BudgetExceededError, check_dim
 
 _COMPLEX_BUDGET = 5_000_000
 _CHUNK = 4096  # primes per array pass of euler_product
@@ -116,7 +115,7 @@ def pair_zero_count(q: int) -> int:
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     result = 1
-    for p, t in factorize(q).factors:
+    for p, t in factorize(q):
         pt = p**t
         result *= pt + t * (pt - pt // p)
     return result

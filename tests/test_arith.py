@@ -10,10 +10,10 @@ def test_factorize_roundtrip():
     for q in range(1, 500):
         f = factorize(q)
         prod = 1
-        for p, e in f.factors:
+        for p, e in f:
             prod *= p**e
         assert prod == q
-        assert list(f.factors) == sorted(f.factors)
+        assert f == sorted(f)
 
 
 def test_mobius_values():

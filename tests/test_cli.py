@@ -112,6 +112,19 @@ class TestCount:
             main(["count", "--n", "2", "--bound", "4", "--convention", "bogus"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--n", "2", "--bound", "10", "--out"],
+        ["census", "--n", "2", "--out"],
+        ["compare", "--n", "2", "--bounds", "8", "--p-max", "30", "--mc-samples", "2000", "--out"],
+        ["compare", "--n", "2", "--bounds", "8", "--p-max", "30", "--mc-samples", "2000", "--csv"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_unwritable_output_path_is_usage_error(self, tmp_path, capsys, argv):
+        # the file's directory is missing: one line on stderr, no traceback
+        path = tmp_path / "missing" / "x"
+        assert main([*argv, str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
     def test_invalid_dimension_maps_to_usage(self):
         assert main(["count", "--n", "0", "--bound", "4"]) == EXIT_USAGE
 
@@ -352,6 +365,12 @@ class TestPredictAndCompare:
         for row in rec["rows"]:
             if row["count"] > 0:
                 assert row["r"] > 0
+
+    @pytest.mark.parametrize("argv", [["predict", "--n", "2"], ["compare", "--n", "2", "--bounds", "10"]],
+                             ids=lambda argv: argv[0])
+    def test_prediction_option_defaults(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.p_max, args.t_max, args.mc_samples, args.seed, args.out) == (1000, 40, 1_000_000, 0, None)
 
     def test_compare_makes_one_counting_pass(self, tmp_path, monkeypatch):
         calls = []
