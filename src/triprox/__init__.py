@@ -35,7 +35,6 @@ from .counting import (
     Domain,
     ExactCount,
     count_points,
-    count_points_oracle,
     mobius_count,
     oracle_sweep,
 )

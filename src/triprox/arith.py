@@ -4,7 +4,8 @@ divisor counts, and Ramanujan sums.
 Arguments at desk scale are tiny, so factorization is trial division against a
 sieved prime table (primes up to 10**6, covering trial division of q < 10**12).
 The table is a read-only memoryview of one int32 array, 4 bytes a prime; its
-items index, slice and iterate as Python ints.
+items index, slice and iterate as Python ints.  ``mobius_sieve`` takes its
+primes from the same sieve.
 """
 
 from __future__ import annotations
@@ -17,17 +18,20 @@ import numpy as np
 _SIEVE_LIMIT = 10**6
 
 
+def _primes_upto(limit: int) -> np.ndarray:
+    """The primes p <= limit, increasing, by the sieve of Eratosthenes."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
 @lru_cache(maxsize=1)
 def prime_table() -> memoryview:
     """All 78,498 primes up to 10**6, as a read-only memoryview of one int32 array (314 KB)."""
-    sieve = np.ones(_SIEVE_LIMIT + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(_SIEVE_LIMIT**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.flatnonzero(sieve)
-    del sieve  # before the int32 copy: the peak is the sieve and the int64 indices
-    return memoryview(primes.astype(np.int32)).toreadonly()
+    return memoryview(_primes_upto(_SIEVE_LIMIT).astype(np.int32)).toreadonly()
 
 
 def is_prime(q: int) -> bool:
@@ -119,14 +123,7 @@ def mobius_sieve(limit: int) -> np.ndarray:
     """mu(1..limit) as an int8 array indexed from 0 (index 0 unused)."""
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    primes_np = np.ones(limit + 1, dtype=bool)
-    primes_np[:2] = False
-    for p in range(2, limit + 1):
-        if primes_np[p]:
-            if p * p <= limit:
-                primes_np[p * p :: p] = False
-            mu[p::p] *= -1
-            sq = p * p
-            if sq <= limit:
-                mu[sq::sq] = 0
+    for p in _primes_upto(limit).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
     return mu

@@ -5,7 +5,8 @@ Records are appended to a JSON-lines store (one self-describing record per
 line, fixed key order); tabular exports are RFC-4180 CSV with a header row
 and '.' decimal separator.  All randomness enters through --seed (default 0,
 never time-based).  Exit codes: 0 success, 2 usage error (an unwritable
---out or --csv included), 3 numeric/overflow error, 4 budget-guard refusal.
+--out or --csv included; a directory, or a path in a missing one, is refused
+before any work), 3 numeric/overflow error, 4 budget-guard refusal.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 
@@ -164,7 +166,7 @@ def cmd_compare(args) -> int:
 
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["B", "count", "r", "predicted_C"])
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             for row in rows:
                 writer.writerow(row)
@@ -190,16 +192,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # The options of the predicted constant, shared by predict and compare.
-    prediction = argparse.ArgumentParser(add_help=False)
-    prediction.add_argument("--n", type=int, required=True)
+    # Options shared by several subcommands, each declared once.
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--out", default=None, help="JSON-lines store to append to")
+    dim = argparse.ArgumentParser(add_help=False)
+    dim.add_argument("--n", type=int, required=True, help="ambient dimension")
+    prediction = argparse.ArgumentParser(add_help=False, parents=[dim])
     prediction.add_argument("--p-max", type=int, default=1000)
     prediction.add_argument("--t-max", type=int, default=40)
     prediction.add_argument("--mc-samples", type=int, default=1_000_000)
     prediction.add_argument("--seed", type=int, default=0)
 
-    p_count = sub.add_parser("count", help="exact solution counts of bounded height")
-    p_count.add_argument("--n", type=int, required=True, help="ambient dimension")
+    p_count = sub.add_parser("count", parents=[dim, store], help="exact solution counts of bounded height")
     p_count.add_argument("--bound", type=_parse_int_list, required=True,
                          help="height bound(s), comma-separated")
     p_count.add_argument("--convention", default="all",
@@ -207,32 +211,26 @@ def build_parser() -> argparse.ArgumentParser:
                          help="which solutions to count")
     p_count.add_argument("--threads", type=int, default=1,
                          help="ignored: a count runs on the calling thread; kept so that older command lines run")
-    p_count.add_argument("--out", default=None, help="JSON-lines store to append to")
     p_count.set_defaults(func=cmd_count)
 
-    p_pred = sub.add_parser("predict", parents=[prediction], help="predicted leading constant")
-    p_pred.add_argument("--out", default=None)
+    p_pred = sub.add_parser("predict", parents=[prediction, store], help="predicted leading constant")
     p_pred.set_defaults(func=cmd_predict)
 
-    p_delta = sub.add_parser("delta", help="delta-series identity check")
+    p_delta = sub.add_parser("delta", parents=[store], help="delta-series identity check")
     p_delta.add_argument("--Q", type=float, required=True)
     p_delta.add_argument("--l-range", type=_parse_l_range, default=(-8, 8),
                          help="'L' for -L..L or 'LO:HI'")
     p_delta.add_argument("--q-max", type=int, default=None)
-    p_delta.add_argument("--out", default=None)
     p_delta.set_defaults(func=cmd_delta)
 
-    p_census = sub.add_parser("census", help="singular index-triple census")
-    p_census.add_argument("--n", type=int, required=True)
+    p_census = sub.add_parser("census", parents=[dim, store], help="singular index-triple census")
     p_census.add_argument("--mode", choices=["formula", "oracle"], default="formula")
-    p_census.add_argument("--out", default=None)
     p_census.set_defaults(func=cmd_census)
 
-    p_cmp = sub.add_parser("compare", parents=[prediction],
+    p_cmp = sub.add_parser("compare", parents=[prediction, store],
                            help="empirical counts against the predicted constant")
     p_cmp.add_argument("--bounds", type=_parse_int_list, required=True)
     p_cmp.add_argument("--csv", default=None, help="CSV export path")
-    p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser
@@ -242,6 +240,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Refuse an output path that cannot be a file before any work is done.
+        for path in filter(None, (args.out, getattr(args, "csv", None))):
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"cannot write {path}: it is a directory, or its directory is missing")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error (budget): {exc}", file=sys.stderr)

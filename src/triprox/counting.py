@@ -39,9 +39,10 @@ Two independent implementations share one contract:
   predicate) each block stands for 2^(2n+3) signed solutions, halved once
   per sign-fixed vector.
 
-* ``count_points_oracle`` -- a deliberately naive scan that enumerates signed
+* ``oracle_sweep`` -- a deliberately naive scan that enumerates signed
   coordinate tuples directly, tests the trilinear sum literally, and applies
-  every predicate (height, domain, primitivity, sign-fix) per tuple.
+  every predicate (height, domain, primitivity, sign-fix) per tuple, for
+  several conventions at once.
 
 Counts are exact integers; for a fixed (n, B, convention) the result is
 deterministic.
@@ -683,9 +684,3 @@ def oracle_sweep(n: int, B: int, convs: list[CountingConvention]) -> list[ExactC
                     totals[ci] += int(ymask @ (sol @ zmask))
 
     return [ExactCount(t) for t in totals]
-
-
-def count_points_oracle(n: int, B: int, conv: CountingConvention) -> ExactCount:
-    """Independent brute-force count: scan signed tuples, test sum x_i y_i z_i = 0
-    and every predicate literally, per tuple.  Refuses oversized scans."""
-    return oracle_sweep(n, B, [conv])[0]

@@ -63,10 +63,7 @@ def bump_integral(tol: float = 1e-12) -> float:
 
 @lru_cache(maxsize=None)
 def _c0() -> float:
-    c0 = bump_integral()
-    if c0 <= 0:
-        raise ArithmeticError("bump integral must be positive")
-    return c0
+    return bump_integral()
 
 
 def window(x: float) -> float:

@@ -76,8 +76,12 @@ def test_ramanujan_divisor_sum_identity():
 
 
 def test_mobius_sieve_agrees():
-    mu = mobius_sieve(300)
-    for k in range(1, 301):
+    # limits 0-4: the loop over primes is empty or a single step
+    for limit in range(5):
+        assert mobius_sieve(limit).tolist() == [0, 1, -1, -1, 0][: limit + 1]
+    mu = mobius_sieve(10**4)
+    assert mu.dtype.name == "int8" and len(mu) == 10**4 + 1
+    for k in range(1, 10**4 + 1):
         assert int(mu[k]) == mobius(k)
 
 

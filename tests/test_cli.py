@@ -118,12 +118,20 @@ class TestCount:
         ["compare", "--n", "2", "--bounds", "8", "--p-max", "30", "--mc-samples", "2000", "--out"],
         ["compare", "--n", "2", "--bounds", "8", "--p-max", "30", "--mc-samples", "2000", "--csv"],
     ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
-    def test_unwritable_output_path_is_usage_error(self, tmp_path, capsys, argv):
-        # the file's directory is missing: one line on stderr, no traceback
-        path = tmp_path / "missing" / "x"
-        assert main([*argv, str(path)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    def test_unwritable_output_path_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        # the file's directory is missing, or the path is a directory: one line
+        # on stderr, no traceback, and no work is done before the refusal
+        def no_work(*args, **kwargs):
+            raise AssertionError("the output path must be checked before any work")
+
+        for name in ("count_points", "count_at_bounds", "predicted_constant", "census"):
+            monkeypatch.setattr(cli, name, no_work)
+        for path in (tmp_path / "missing" / "x", tmp_path):
+            assert main([*argv, str(path)]) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+            assert list(tmp_path.iterdir()) == []
 
     def test_invalid_dimension_maps_to_usage(self):
         assert main(["count", "--n", "0", "--bound", "4"]) == EXIT_USAGE
@@ -355,7 +363,10 @@ class TestPredictAndCompare:
                      "--seed", "0", "--csv", str(out_csv), "--out", str(store)]) == EXIT_OK
         rec = read_jsonl(store)[0]
         with open(out_csv, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        # the header is the row dict's keys, in their order
+        assert reader.fieldnames == list(rec["rows"][0]) == ["B", "count", "r", "predicted_C"]
         assert len(rows) == 2
         for parsed, stored in zip(rows, rec["rows"]):
             assert int(parsed["B"]) == stored["B"]
@@ -366,11 +377,22 @@ class TestPredictAndCompare:
             if row["count"] > 0:
                 assert row["r"] > 0
 
-    @pytest.mark.parametrize("argv", [["predict", "--n", "2"], ["compare", "--n", "2", "--bounds", "10"]],
-                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", [
+        ["count", "--n", "2", "--bound", "10"],
+        ["predict", "--n", "2"],
+        ["delta", "--Q", "4"],
+        ["census", "--n", "2"],
+        ["compare", "--n", "2", "--bounds", "10"],
+    ], ids=lambda argv: argv[0])
     def test_prediction_option_defaults(self, argv):
         args = cli.build_parser().parse_args(argv)
-        assert (args.p_max, args.t_max, args.mc_samples, args.seed, args.out) == (1000, 40, 1_000_000, 0, None)
+        assert args.out is None
+        if argv[0] in ("predict", "compare"):
+            assert (args.p_max, args.t_max, args.mc_samples, args.seed) == (1000, 40, 1_000_000, 0)
+        if argv[1] == "--n":  # --n is required wherever it is an option
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args([argv[0], *argv[3:]])
+            assert exc.value.code == EXIT_USAGE
 
     def test_compare_makes_one_counting_pass(self, tmp_path, monkeypatch):
         calls = []

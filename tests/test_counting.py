@@ -15,7 +15,6 @@ from triprox import (
     NAMED_CONVENTIONS,
     OverflowGuardError,
     count_points,
-    count_points_oracle,
     mobius_count,
     oracle_sweep,
 )
@@ -399,7 +398,7 @@ class TestCountPoints:
         assert count_points(3, 1, NAMED_CONVENTIONS["N"]).count == 384
 
     def test_oracle_golden_n1(self):
-        assert count_points_oracle(1, 2, ALL).count == 128
+        assert oracle_sweep(1, 2, [ALL])[0].count == 128
         assert count_points(1, 2, ALL).count == 128
 
     def test_monotone_in_bound(self):
@@ -606,7 +605,7 @@ class TestOracleEquivalence:
 
     def test_oracle_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            count_points_oracle(3, 12, ALL)
+            oracle_sweep(3, 12, [ALL])
 
     def test_oracle_budget_guard_refuses_at_once(self):
         # the guard stops summing at the first partial sum over the budget
