@@ -38,7 +38,7 @@ from .counting import (
     mobius_count,
     oracle_sweep,
 )
-from .delta_method import KernelConfig, bump, bump_integral, delta_series, kernel_h, window
+from .delta_method import bump, bump_integral, delta_series, kernel_h, q_range, window
 from .errors import BudgetExceededError, OverflowGuardError
 from .local_densities import (
     EulerProductResult,

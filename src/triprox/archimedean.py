@@ -139,17 +139,14 @@ def _mc_blocks(samples: int, dims: int, seed: int, tag: int, f_of_block):
     return mean, math.sqrt(var / samples)
 
 
-def _check_indices(n: int, i0: int, j0: int | None = None, distinct: bool = False) -> None:
+def _check_indices(n: int, i0: int, j0: int | None = None) -> None:
     check_dim(n)
     if n >= _TAG_BASE:
         raise ValueError(f"MC stream tags need n < {_TAG_BASE}, got n = {n}")
     if not 0 <= i0 <= n:
         raise ValueError(f"i0 must be in [0, {n}], got {i0}")
-    if j0 is not None:
-        if not 0 <= j0 <= n:
-            raise ValueError(f"j0 must be in [0, {n}], got {j0}")
-        if distinct and i0 == j0:
-            raise ValueError("i0 and j0 must differ")
+    if j0 is not None and not (0 <= j0 <= n and j0 != i0):
+        raise ValueError(f"j0 must be in [0, {n}] and differ from i0 = {i0}, got {j0}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +239,7 @@ def _offdiag_f(n: int):
 
 
 def _mc_offdiag(target: Target, n: int, i0: int, j0: int, samples: int, seed: int) -> ArchEstimate:
-    _check_indices(n, i0, j0, distinct=True)
+    _check_indices(n, i0, j0)
     vol = 2.0 ** (3 * n - 1)
     mean, se = _mc_blocks(samples, 3 * n - 1, seed, _tag(target, i0, j0), _offdiag_f(n))
     return ArchEstimate(vol * mean, vol * se)
@@ -274,7 +271,7 @@ def mc_sigma_prime(n: int, i0: int, j0: int, which: int, samples: int, seed: int
     """
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
-    _check_indices(n, i0, j0, distinct=True)
+    _check_indices(n, i0, j0)
     target = Target.SIGMA1_PRIME if which == 1 else Target.SIGMA2_PRIME
     vol = 2.0 ** (3 * n - 1)
 

@@ -24,7 +24,7 @@ from .archimedean import sigma_infty_components  # noqa: F401 (not called; a per
 from .arith import is_prime
 from .assembly import census, predicted_constant
 from .counting import NAMED_CONVENTIONS, count_at_bounds, count_points, mobius_count
-from .delta_method import KernelConfig, delta_series
+from .delta_method import delta_series, q_range
 from .errors import BudgetExceededError, OverflowGuardError
 from .local_densities import local_density
 
@@ -120,20 +120,20 @@ def cmd_predict(args) -> int:
 def cmd_delta(args) -> int:
     lo, hi = args.l_range
     l_max = max(abs(lo), abs(hi)) if lo <= hi else 0  # an empty range evaluates l = 0 only
-    config = KernelConfig.build(args.Q, q_max=args.q_max, l_max=l_max)
-    rows = {l: delta_series(l, config=config) for l in range(lo, hi + 1)}
-    raw0 = rows[0] if 0 in rows else delta_series(0, config=config)
-    print(f"delta-series at Q={args.Q} (q_max={config.q_max}), raw(l) = delta_l / c_Q:")
+    q_max = q_range(args.Q, l_max)  # the widest range, refused before any row
+    rows = {l: delta_series(l, args.Q) for l in range(lo, hi + 1)}
+    raw0 = rows[0] if 0 in rows else delta_series(0, args.Q)
+    print(f"delta-series at Q={args.Q} (q_max={q_max}), raw(l) = delta_l / c_Q:")
     for l, value in rows.items():
         expect = 1.0 if l == 0 else 0.0
         print(f"  l={l:+d}  raw = {value:+.12e}  (target {expect:.0f})")
     if raw0 == 0.0:
-        # No q <= q_max puts q*j/Q inside the window's support (e.g. Q=2).
+        # No q puts q*j/Q inside the window's support (e.g. Q=2).
         print("  empirical c_Q undefined: raw(0) = 0")
     else:
         print(f"  empirical c_Q ~ 1/raw(0) = {1.0 / raw0:.9f}")
     _append_record(args.out, "delta",
-                   {"Q": args.Q, "q_max": config.q_max, "l_range": [lo, hi]},
+                   {"Q": args.Q, "q_max": q_max, "l_range": [lo, hi]},
                    {"raw": {str(l): value for l, value in rows.items()}})
     return EXIT_OK
 
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_delta.add_argument("--Q", type=float, required=True)
     p_delta.add_argument("--l-range", type=_parse_l_range, default=(-8, 8),
                          help="'L' for -L..L or 'LO:HI'")
-    p_delta.add_argument("--q-max", type=int, default=None)
     p_delta.set_defaults(func=cmd_delta)
 
     p_census = sub.add_parser("census", parents=[dim, store], help="singular index-triple census")

@@ -6,7 +6,8 @@ The Kronecker delta of an integer l admits the expansion
 
 where c_q(l) is a Ramanujan sum, c_Q = 1 + O_N(Q^-N), and h is built from a
 bump rescaled to have support in (1/2, 1).  The q-sum is finite: h(x, y)
-vanishes for x > max(1, 2|y|), so only q up to max(Q, 2|l|/Q) contribute.
+vanishes for x >= max(1, 2|y|), so only q < max(Q, 2|l|/Q) contribute, and
+``q_range`` is the last q that ``delta_series`` sums.
 
 ``delta_series`` returns the raw sum (delta_l / c_Q), which should be close
 to 1 at l = 0 and vanishes identically for l != 0; c_Q itself has no closed
@@ -21,15 +22,15 @@ SIAM Review 56, 2014).  512 steps give c0 correctly rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import ramanujan_sum
 from .errors import BudgetExceededError
 
-# Largest q_max a KernelConfig admits: kernel_h(q/Q, .) walks a set of about
-# Q/(2q) integers, and the q-sum makes q_max kernel and Ramanujan-sum calls.
-# kernel_h refuses j-windows of more than twice this many terms in all.
+# The longest q range that q_range admits: the q-sum makes q_range(Q, l) kernel
+# and Ramanujan-sum calls, and kernel_h(q/Q, l/Q^2) walks about
+# Q/(2q) + |l|/(qQ) integers.  kernel_h refuses j-windows of more than twice
+# this many terms in all.
 _MAX_Q_MAX = 100_000
 
 
@@ -94,7 +95,7 @@ def kernel_h(x: float, y: float) -> float:
     windows (``_j_windows``) -- can contribute.  In particular h(x, y) = 0
     whenever x > max(1, 2|y|).  Windows of more than 2 * _MAX_Q_MAX terms in
     all are refused, before c0 is needed; every call of ``delta_series``
-    with |l| <= Q^2/2 needs at most Q + 6.
+    needs at most q_range(Q, l) + 6.
     """
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
@@ -110,51 +111,36 @@ def kernel_h(x: float, y: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Shared constants for delta-series evaluations."""
+def q_range(Q: float, l: int) -> int:
+    """The last q of the delta-series of l: ceil(max(Q, 2|l|/Q)).
 
-    Q: float
-    q_max: int
-
-    @classmethod
-    def build(cls, Q: float, q_max: int | None = None, l_max: int = 0) -> "KernelConfig":
-        """Validate Q and q_max, then compute c0 (cached).
-
-        Before c0 is computed, refuse a range |l| <= l_max whose widest kernel
-        call is over the term budget: ``delta_series`` calls ``kernel_h`` at
-        q = 1 for every l (c_1(l) = 1), and q = 1, |l| = l_max has the widest
-        j-windows up to rounding.  ``kernel_h`` still checks every call.
-        """
-        if not 2 <= Q < math.inf:  # also refuses nan
-            raise ValueError(f"Q must be a finite number >= 2, got {Q}")
-        if q_max is None:
-            q_max = math.ceil(2 * Q)
-        if q_max < Q:
-            raise ValueError(f"q_max={q_max} must be >= Q={Q}")
-        if q_max > _MAX_Q_MAX:
-            raise BudgetExceededError(f"q_max={q_max} exceeds the delta-series budget of {_MAX_Q_MAX}")
-        Qf = float(Q)
-        _j_windows(1 / Qf, l_max / Qf**2)  # the (x, y) of delta_series at q = 1
-        _c0()
-        return cls(Q=Qf, q_max=q_max)
-
-
-def delta_series(l: int, Q: float | None = None, q_max: int | None = None,
-                 config: KernelConfig | None = None) -> float:
-    """raw(l) = Q^-2 * sum_{q=1..q_max} c_q(l) * h(q/Q, l/Q^2).
-
-    The unit sum over d mod q is collapsed to the Ramanujan closed form, so
-    no floating-point phase summation enters.  raw(l) equals delta_l / c_Q;
-    the default q_max = ceil(2Q) is exhaustive for |l| <= Q^2 / 2.
+    Every later term vanishes, since h(q/Q, l/Q^2) = 0 once q/Q >= max(1, 2|l|/Q^2).
+    The range grows with |l|, so one call at the largest |l| vouches for a range
+    of l.  Refuses, before any term is summed: a Q that is not a finite number
+    >= 2 (ValueError), a range over _MAX_Q_MAX, and a q = 1 kernel call, the
+    widest of the series up to rounding, over the term budget (BudgetExceededError).
     """
-    if config is None:
-        if Q is None:
-            raise ValueError("provide either Q or a KernelConfig")
-        config = KernelConfig.build(Q, q_max=q_max)
-    Qf = config.Q
+    if not 2 <= Q < math.inf:  # also refuses nan
+        raise ValueError(f"Q must be a finite number >= 2, got {Q}")
+    Qf = float(Q)
+    last = math.ceil(max(Qf, 2 * abs(l) / Qf))
+    if last > _MAX_Q_MAX:
+        raise BudgetExceededError(f"Q={Q}, l={l} needs q up to {last}, over the delta-series budget of {_MAX_Q_MAX}")
+    _j_windows(1 / Qf, l / Qf**2)  # the (x, y) of delta_series at q = 1
+    return last
+
+
+def delta_series(l: int, Q: float) -> float:
+    """raw(l) = Q^-2 * sum_{q=1..q_range(Q, l)} c_q(l) * h(q/Q, l/Q^2).
+
+    The sum is exhaustive: every omitted term is zero.  The unit sum over
+    d mod q is collapsed to the Ramanujan closed form, so no floating-point
+    phase summation enters.  raw(l) equals delta_l / c_Q.
+    """
+    last = q_range(Q, l)
+    Qf = float(Q)
     total = 0.0
-    for q in range(1, config.q_max + 1):
+    for q in range(1, last + 1):
         cq = ramanujan_sum(q, l)
         if cq != 0:
             total += cq * kernel_h(q / Qf, l / Qf**2)

@@ -15,8 +15,8 @@ The local density at p is sigma_p = sum_{t>=0} total(p^t, n) / p^((3n+3)t);
 its terms collapse to (1 - 1/p) * p^(-n*t) * (1 + t*(1 - 1/p))^(n+1) for t >= 1
 (re-derived from the closed form above, and validated against the oracle in
 the test suite).  The truncation tail is bounded by the explicit majorant
-(1 + t)^(n+1) * p^(-n*t), summed with a geometric tail once the term ratio
-drops below 0.9.
+(1 + t)^(n+1) * p^(-n*t), summed as a geometric series from t_max + 1 on,
+where its term ratio is already at most 8/9.
 
 The truncated sum stops at the first term that leaves the float sum unchanged.
 The terms are positive with ratio p^(-n) * (1 + r/(1 + t*r))^(n+1) <= (4/3)(2/3)^n
@@ -155,8 +155,7 @@ def _densities(p: np.ndarray, n: int, t_max: int) -> tuple[np.ndarray, np.ndarra
     Each t-sum stops as the module docstring describes.  The tail bound
     majorizes the terms by g(t) = (1+t)^(n+1) * p^(-n t), whose consecutive
     ratio g(t+1)/g(t) = ((t+2)/(t+1))^(n+1) * p^(-n) decreases in t and tends
-    to p^(-n) <= 1/2.  Beyond the first t > t_max with ratio <= 0.9 the sum is
-    dominated geometrically.
+    to p^(-n) <= 1/2; the sum over t > t_max is at most g(t_max+1) / (1 - ratio).
     """
     e = n + 1
     r = 1.0 - 1.0 / p
@@ -181,14 +180,11 @@ def _densities(p: np.ndarray, n: int, t_max: int) -> tuple[np.ndarray, np.ndarra
     # Where p^(-n t) <= 2^-1080, far below 2^-1075, pow rounds every g to 0.0: tail stays 0.0.
     live = np.flatnonzero(n * (t_max + 1) * np.log2(p) < 1080)
     t = t_max + 1
-    while len(live):
-        g = (1.0 + t) ** e * _pow(p[live], -n * t)
-        ratio = ((t + 2.0) / (t + 1.0)) ** e * q[live]
-        done = ratio <= 0.9
-        g[done] /= 1.0 - ratio[done]
-        tail[live] += g
-        live = live[~done]
-        t += 1
+    g = (1.0 + t) ** e * _pow(p[live], -n * t)
+    # t >= 2 (callers refuse t_max < 1), so ratio <= (4/3)^(n+1) * 2^-n <= 8/9
+    # for every p >= 2 and n >= 1: the geometric bound holds from the first term.
+    ratio = ((t + 2.0) / (t + 1.0)) ** e * q[live]
+    tail[live] = g / (1.0 - ratio)
     return s, _pow(1.0 - q, 3) * s, tail
 
 

@@ -420,3 +420,5 @@ class TestAssembly:
             mc_sigma_diag(2, 5, 1000, 0)
         with pytest.raises(ValueError):
             mc_sigma_prime(2, 0, 1, 3, 1000, 0)
+        with pytest.raises(ValueError):
+            mc_sigma_prime(2, 1, 1, 1, 1000, 0)

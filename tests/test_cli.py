@@ -204,12 +204,10 @@ class TestCensusAndDelta:
         assert main(["delta", "--Q", "1e9"]) == EXIT_BUDGET
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("q_max", [None, "16"])
     @pytest.mark.parametrize("Q", ["inf", "nan"])
-    def test_delta_non_finite_Q_is_a_usage_error(self, Q, q_max, capsys, tmp_path):
+    def test_delta_non_finite_Q_is_a_usage_error(self, Q, capsys, tmp_path):
         store = tmp_path / "runs.jsonl"
-        argv = ["delta", "--Q", Q, "--out", str(store)] + (["--q-max", q_max] if q_max else [])
-        assert main(argv) == EXIT_USAGE
+        assert main(["delta", "--Q", Q, "--out", str(store)]) == EXIT_USAGE
         assert f"Q must be a finite number >= 2, got {Q}" in capsys.readouterr().err
         assert not store.exists()
 
@@ -219,13 +217,22 @@ class TestCensusAndDelta:
         assert time.perf_counter() - start < 1.0
 
     def test_delta_zero_raw0_writes_record(self, capsys, tmp_path):
-        # At Q=2 no q <= q_max reaches the window's support, so raw(0) = 0.
+        # At Q=2 no q reaches the window's support, so raw(0) = 0.
         store = tmp_path / "runs.jsonl"
         assert main(["delta", "--Q", "2", "--l-range", "0:1", "--out", str(store)]) == EXIT_OK
         assert "c_Q undefined" in capsys.readouterr().out
         rec = read_jsonl(store)[0]
         assert rec["raw"] == {"0": 0.0, "1": 0.0}
         assert rec["Q"] == 2 and rec["l_range"] == [0, 1]
+
+    def test_delta_sums_past_q_squared(self, tmp_path):
+        # |l| > Q^2 = 16 needs q past ceil(2Q) = 8: raw(21) reads -0.1229 when the sum stops there
+        store = tmp_path / "runs.jsonl"
+        assert main(["delta", "--Q", "4", "--l-range", "18:22", "--out", str(store)]) == EXIT_OK
+        rec = read_jsonl(store)[0]
+        assert rec["q_max"] == 11  # ceil(2 * 22 / 4)
+        assert list(rec["raw"]) == ["18", "19", "20", "21", "22"]
+        assert all(abs(raw) <= 1e-12 for raw in rec["raw"].values())
 
     def test_delta_identity_smoke(self, capsys, tmp_path):
         store = tmp_path / "runs.jsonl"
@@ -393,6 +400,22 @@ class TestPredictAndCompare:
             with pytest.raises(SystemExit) as exc:
                 cli.build_parser().parse_args([argv[0], *argv[3:]])
             assert exc.value.code == EXIT_USAGE
+
+    def test_option_surface(self):
+        # every option each subcommand accepts: adding or removing one means editing this list
+        surface = {
+            "count": ["--n", "--out", "--bound", "--convention", "--threads"],
+            "predict": ["--n", "--p-max", "--t-max", "--mc-samples", "--seed", "--out"],
+            "delta": ["--out", "--Q", "--l-range"],
+            "census": ["--n", "--out", "--mode"],
+            "compare": ["--n", "--p-max", "--t-max", "--mc-samples", "--seed", "--out", "--bounds", "--csv"],
+        }
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+        got = {name: [opt for a in p._actions for opt in a.option_strings if opt not in ("-h", "--help")]
+               for name, p in sub.choices.items()}
+        assert got == surface
+        assert [opt for a in parser._actions for opt in a.option_strings] == ["-h", "--help"]
 
     def test_compare_makes_one_counting_pass(self, tmp_path, monkeypatch):
         calls = []

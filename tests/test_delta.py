@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import triprox.delta_method as delta_method
-from triprox import BudgetExceededError, KernelConfig, bump, bump_integral, delta_series, kernel_h, window
+from triprox import BudgetExceededError, bump, bump_integral, delta_series, kernel_h, q_range, ramanujan_sum, window
 from triprox.cli import EXIT_NUMERIC, main
 
 C0_GOLDEN = 0.4439938161680786  # frozen from the first converged quadrature run
@@ -111,7 +111,7 @@ class TestKernelH:
             kernel_h(1e-8, 0.0)
         with pytest.raises(BudgetExceededError):
             kernel_h(0.5, 2.5e8)
-        # the widest call a KernelConfig admits: Q = q_max = 10^5, q = 1, |l| = Q^2/2
+        # the widest call q_range admits: Q = 10^5, q = 1, |l| = Q^2/2
         assert math.isfinite(kernel_h(1e-5, 0.5))
 
 
@@ -125,26 +125,34 @@ class TestDeltaSeries:
             assert abs(delta_series(l, 32.0)) <= 1e-12  # exact identity; pilot ~1e-17
 
     def test_even_in_l(self):
-        cfg = KernelConfig.build(16.0)
         for l in (1, 2, 5, 11):
-            assert delta_series(l, config=cfg) == delta_series(-l, config=cfg)
+            assert delta_series(l, 16.0) == delta_series(-l, 16.0)
 
-    def test_truncation_exhaustive(self):
-        for l in (0, 3, 7):
-            base = delta_series(l, 16.0)
-            doubled = delta_series(l, 16.0, q_max=2 * math.ceil(32.0))
-            assert base == doubled
+    @pytest.mark.parametrize("Q, l", [(16.0, 0), (16.0, 3), (16.0, 7), (4.0, 21), (4.0, 30), (8.0, 100), (3.0, -12)])
+    def test_truncation_exhaustive(self, Q, l):
+        # the same sum, term by term, over twice the range: the terms past
+        # q_range add nothing (the last four cases need q > ceil(2Q))
+        longer = sum(ramanujan_sum(q, l) * kernel_h(q / Q, l / Q**2) for q in range(1, 2 * q_range(Q, l) + 1))
+        raw = delta_series(l, Q)
+        assert raw == longer / Q**2
+        assert l == 0 or abs(raw) <= 1e-12
+
+    def test_q_range_is_the_support_bound_and_grows_with_l(self):
+        # the CLI checks the range once, at the largest |l|
+        for Q in (2.0, 3.0, 4.0, 5.5, 8.0, 16.0, 32.0):
+            ranges = [q_range(Q, l) for l in range(0, 4 * int(Q * Q))]
+            assert ranges == [math.ceil(max(Q, 2 * l / Q)) for l in range(0, 4 * int(Q * Q))]
+            assert ranges == sorted(ranges)
+            assert all(q_range(Q, -l) == r for l, r in enumerate(ranges))
 
     def test_ladder_strict_decrease(self):
         errs = [abs(delta_series(0, Q) - 1.0) for Q in (4.0, 8.0, 16.0, 32.0)]
         assert errs[0] > errs[1] > errs[2] > errs[3]
 
-    def test_config_validation(self):
+    def test_range_validation(self):
         with pytest.raises(ValueError):
-            KernelConfig.build(1.0)
-        with pytest.raises(ValueError):
-            KernelConfig.build(8.0, q_max=4)
+            q_range(1.0, 0)
         with pytest.raises(BudgetExceededError):
-            KernelConfig.build(8.0, q_max=10**9)
+            q_range(8.0, 10**9)
         with pytest.raises(BudgetExceededError):
-            KernelConfig.build(1e9)
+            q_range(1e9, 0)

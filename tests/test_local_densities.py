@@ -185,13 +185,14 @@ class TestLocalDensity:
         primes = prime_table()[:1229]  # every prime < 10^4
         for n in (1, 2, 3, 5):
             for t_max in (1, 2, 5, 40):
-                s, s_prime, _ = _densities(np.array(primes, float), n, t_max)
-                for p, got, got_prime in zip(primes, s.tolist(), s_prime.tolist()):
+                s, s_prime, tail = _densities(np.array(primes, float), n, t_max)
+                for p, got, got_prime, got_tail in zip(primes, s.tolist(), s_prime.tolist(), tail.tolist()):
                     full = 1.0
                     for t in range(1, t_max + 1):
                         full += oracle_term(p, n, t)
                     expected = (full, (1.0 - p ** (-n)) ** 3 * full)
                     assert oracle_sigma(p, n, t_max) == (got, got_prime) == expected
+                    assert got_tail == oracle_tail(p, n, t_max)
 
     def test_array_helper_is_the_scalar_oracle_on_the_whole_table(self):
         primes = prime_table()
