@@ -36,7 +36,6 @@ from .counting import (
     ExactCount,
     count_points,
     mobius_count,
-    oracle_sweep,
 )
 from .delta_method import bump, bump_integral, delta_series, kernel_h, q_range, window
 from .errors import BudgetExceededError, OverflowGuardError
@@ -49,3 +48,4 @@ from .local_densities import (
     pair_zero_count,
     zero_freq_total,
 )
+from .oracle import oracle_sweep

@@ -26,23 +26,25 @@ Two independent implementations share one contract:
   c (sorted, divided by its gcd) once, from the closed form: the entries of
   a row of (m, k) are at most mk <= r2, and the block (max c, 1) holds c, so
   the rows are the primitive nondecreasing vectors of max <= r2 (``_orbits``),
-  each at its largest cap B // max c.  One ``_kernel_rows`` call per cap
-  counts every z (at n=2, B=120 the 44 blocks hold 6,498 rows; 16 calls
-  scan 2,106 in 309,392 cells), one unbuffered ``np.add.at`` per chunk of
-  incidences adds them, weighted, into the segments, and a primitive count
-  then applies z-primitivity once per segment, by Mobius inversion.  Each
-  (bound, order of the pair) of a block adds 3*cum[Z1] - 3*cum[Z12] +
-  cum[Z123] of its segment's prefix sums: one bound for ``count_points``,
-  several for ``count_at_bounds`` (``compare``), and every floor(B/t) its
-  Mobius sum reads for ``mobius_count``.  Signs enter through one weight:
+  each at its largest cap B // max c, formed chunk by chunk as n+1
+  columns.  One ``_kernel_rows`` call per cap counts every z (at n=2, B=120
+  the 44 blocks hold 6,498 rows; 16 calls scan 2,106 in 309,392 cells),
+  and one unbuffered ``np.add.at`` per chunk of incidences adds them,
+  weighted, into the segments.  Each (bound, order of the pair) of a block
+  adds 3*P(Z1) - 3*P(Z12) + P(Z123) of its segment's prefix sums P: one
+  bound for ``count_points``, several for ``count_at_bounds``
+  (``compare``), and every floor(B/t) its Mobius sum reads for
+  ``mobius_count``.  A primitive count applies z-primitivity there, at
+  read time: the primitive z of max <= Z number sum over squarefree d <= Z
+  of mu(d) * P(Z // d) (``_prefix_reads``).  Signs enter through one weight:
   with x, y, z positive and z_1 >= 1 (negation flips the sign-fix
   predicate) each block stands for 2^(2n+3) signed solutions, halved once
   per sign-fixed vector.
 
-* ``oracle_sweep`` -- a deliberately naive scan that enumerates signed
-  coordinate tuples directly, tests the trilinear sum literally, and applies
-  every predicate (height, domain, primitivity, sign-fix) per tuple, for
-  several conventions at once.
+* ``oracle.oracle_sweep`` -- a deliberately naive scan that tests every
+  signed tuple literally.  It has a module of its own, since no command
+  runs it: a command start without cached bytecode compiles this module,
+  and its size sets the peak memory of that start.
 
 Counts are exact integers; for a fixed (n, B, convention) the result is
 deterministic.
@@ -50,6 +52,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -66,10 +69,10 @@ _MAX_BOUND = 2**30
 # Largest number of cells in one array of the vectorized kernel (rows x z
 # cells of one piece, unless one z_1 value of one row is larger), of a chunk
 # of coefficient rows (rows x (n+1)), of histograms added by one np.add.at
-# (incidences x (Z+1), at least one), or of the terms read from H (bounds x
-# block orders): 128 KiB per float32, 256 per int64 array.
+# (incidences x (Z+1), at least one), or of the terms read from H (one read
+# per bound and block order, times its d and its coefficients, one read at
+# least): 128 KiB per float32, 256 per int64 array.
 _CELL_CHUNK = 1 << 15
-_ORACLE_OPS_BUDGET = 400_000_000
 
 # Largest z-grid the kernel scans per coefficient row, Z*(2Z)^(n-1) cells.
 # The cells are taken in pieces of at most _CELL_CHUNK (one z_1 value each
@@ -230,10 +233,10 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
     integer, farther than its rounding error |s|/C[r,0] * 2^-24.  A
     canonical row's cap is B // max(C), and the z-grid budget keeps n*B far
     below 2^24 (n=1 stops at the cell budget near B=2^17).  q then
-    holds |z_0| on the accepted cells; two broadcast maxima, against z_1
-    and against the max|z_2..z_n| of each of the (2Z)^(n-1) points, and a
-    row offset turn it into the histogram index, which the accepted cells
-    alone carry to the count.
+    holds |z_0| on the accepted cells; one broadcast maximum, against the
+    piece's table of max(z_1, max|z_2..z_n|) over its z_1 values times the
+    (2Z)^(n-1) points, and a row offset turn it into the histogram index,
+    which the accepted cells alone carry to the count.
 
     The cells are taken in pieces of consecutive z_1 values times a chunk
     of rows, each of at most _CELL_CHUNK cells (one z_1 value and one row
@@ -275,8 +278,7 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
             np.clip(q, 0.5, Z + 0.5, out=q)
             np.floor(q, out=floor)
             np.equal(floor, q, out=hit)
-            np.maximum(q, z1s[:, None], out=q)
-            np.maximum(q, rest_max, out=q)
+            np.maximum(q, np.maximum.outer(z1s, rest_max), out=q)
             q += offset  # row * (Z+1) + max|z| < max(_CELL_CHUNK, Z+1): exact
             flat[lo * (Z + 1) : (lo + rows) * (Z + 1)] += np.bincount(q[hit].astype(np.intp), minlength=rows * (Z + 1))
     return hist
@@ -315,13 +317,14 @@ def _orbits(n: int, M: int, primitive: bool) -> tuple[np.ndarray, np.ndarray]:
     first j times (j+1) over the current run length, a multinomial at every
     step, so no (n+1)! is formed (21! is past int64).
     """
-    reps = np.arange(1, M + 1, dtype=np.int32).reshape(-1, 1)
+    reps = [np.arange(1, M + 1, dtype=np.int32)]  # as columns, the first entry first
     for _ in range(n):
-        first = reps[:, 0]
-        parent = np.repeat(np.arange(len(reps), dtype=np.int32), first)
+        first = reps[0]
+        parent = np.repeat(np.arange(len(first), dtype=np.int32), first)
         head = np.arange(1, len(parent) + 1, dtype=np.int32)
         head -= np.repeat(np.cumsum(first, dtype=np.int32) - first, first)
-        reps = np.column_stack([head, reps[parent]])
+        reps = [head] + [c[parent] for c in reps]
+    reps = np.stack(reps, axis=1)
     if primitive:
         reps = reps[_primitive_mask(reps)]
     run = np.ones(len(reps), dtype=np.int64)
@@ -384,6 +387,16 @@ def _pair_blocks(n: int, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(M), np.array(K), np.array(Z)
 
 
+def _pack(cols: list, base: int) -> np.ndarray:
+    """The int64 keys sum_j cols[j] * base^j of rows given as columns of
+    entries below ``base``, the last column most significant."""
+    key = cols[-1].astype(np.int64)
+    for c in cols[-2::-1]:
+        key *= base
+        key += c
+    return key
+
+
 def _canonical_rows(n: int, M: np.ndarray, K: np.ndarray, primitive: bool):
     """The rows the stream scans and its (row, block, orbit weight)
     incidences, one per distinct pair in a chunk of rows, sorted by row.
@@ -407,8 +420,11 @@ def _canonical_rows(n: int, M: np.ndarray, K: np.ndarray, primitive: bool):
     rows = R if primitive else R[_primitive_mask(R)]
     # (r2+1)^(n+1) <= (2B)^(n+1), and the z-grid check at (1, 1), where
     # Z = B, bounds 2^(n-1)*B^n by 2^25, so a key stays below 2^27*B <= 2^57
-    digits = (int(M.max()) + 1) ** np.arange(n + 1, dtype=np.int64)
-    keys = (rows * digits).sum(axis=1)
+    base = int(M.max()) + 1
+    keys = _pack(list(rows.T), base)
+    # odd-even transposition sort: n+1 rounds of compare-exchanges of the
+    # entries (i, i+1), from i = 0 and from i = 1 in turn, sort any n+1 entries
+    network = [i for step in range(n + 1) for i in range(step % 2, n, 2)]
     shells = []  # (block of m minus m, Q_k, first and end representative) per k
     for b0 in np.flatnonzero(np.diff(K, prepend=0)):
         k = int(K[b0])
@@ -429,12 +445,21 @@ def _canonical_rows(n: int, M: np.ndarray, K: np.ndarray, primitive: bool):
         r_chunk = max(1, _CELL_CHUNK // (len(Q) * (n + 1)))
         for r in range(lo, hi, r_chunk):
             reps = slice(r, min(r + r_chunk, hi))
-            # Stable sorts and no matmul: numpy's default int64 sorts and its
-            # integer matmul would load about 0.4 MB more code into every
-            # count command.
-            C = np.sort((R[reps, None, :] * Q).reshape(-1, n + 1), axis=1, kind="stable")
-            C //= np.gcd.reduce(C, axis=1, keepdims=True)
-            packed = (C * digits).sum(axis=1)
+            # the rows r*q of the chunk, representative-major, as n+1
+            # contiguous columns: elementwise passes, no reduction along the
+            # short axis of a (rows, n+1) array
+            cols = [np.multiply.outer(R[reps, j], Q[:, j]).reshape(-1) for j in range(n + 1)]
+            spare = np.empty_like(cols[0])
+            for i in network:
+                np.minimum(cols[i], cols[i + 1], out=spare)
+                np.maximum(cols[i], cols[i + 1], out=cols[i + 1])
+                cols[i], spare = spare, cols[i]
+            g = functools.reduce(np.gcd, cols)
+            for c in cols:
+                c //= g
+            packed = _pack(cols, base)
+            # A stable sort: numpy's default int64 sort would load about
+            # 0.4 MB more code into every count command.
             order = np.argsort(packed, kind="stable")
             packed = packed[order]
             owner = np.repeat(ms[reps] + offset, len(Q))[order]
@@ -487,14 +512,12 @@ def _mobius_inverse(H: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def _histograms(n: int, blocks: tuple, primitive: bool) -> tuple[np.ndarray, np.ndarray]:
     """(H, start): H[start[i] + h], h <= Z_i, counts the z with z_1 >= 1 and
     max|z| = h over the coefficient rows of the block i of the stream, the
-    half that ``_kernel_rows`` scans (primitive z only, with ``primitive``);
-    the segments lie end to end in stream order.  The rows of
-    ``_canonical_rows`` come by max, each scanned at its largest cap B // max
-    (B = Zb[0]), so each cap's rows are one slice; ``_count_pair_block``
-    scans the slices by increasing cap, the widest last.  Every z of max h
-    is d*z' for its content d and a primitive z' of max h/d, so a primitive
-    count then Mobius-inverts H, one ``_mobius_inverse`` per block cap over
-    that cap's segments."""
+    half that ``_kernel_rows`` scans (rows of primitive x and y only, with
+    ``primitive``; every z either way); the segments lie end to end in
+    stream order.  The rows of ``_canonical_rows`` come by max, each
+    scanned at its largest cap B // max (B = Zb[0]), so each cap's rows are
+    one slice; ``_count_pair_block`` scans the slices by increasing cap,
+    the widest last."""
     M, K, Zb = blocks
     B = int(Zb[0])
     rows, row, block, weight = _canonical_rows(n, M, K, primitive)
@@ -507,35 +530,70 @@ def _histograms(n: int, blocks: tuple, primitive: bool) -> tuple[np.ndarray, np.
         (lo, hi), (a, b) = bounds[i : i + 2], edges[i : i + 2]
         row[a:b] -= lo  # in place: ids into the cap's own rows
         _count_pair_block(rows[lo:hi], int(cap[lo]), row[a:b], block[a:b], weight[a:b], start, Zb, H)
-    if primitive:
-        mu = mobius_sieve(B)
-        for Z in set(Zb.tolist()):
-            at = start[Zb == Z] + np.arange(Z + 1)[:, None]  # heights first
-            H[at] = _mobius_inverse(H[at], mu)
     return H, start
+
+
+def _prefix_reads(P: np.ndarray, at: np.ndarray, caps: np.ndarray, coef: tuple, mu: np.ndarray) -> np.ndarray:
+    """Per read, the sum over d <= caps[0] of mu(d) * sum_i coef[i] *
+    P[at + caps[i] // d], over a flat int array ``at`` and an int array
+    ``caps`` of one row per coefficient (caps[0] the largest), P[at + Z]
+    the prefix of the segment at ``at`` through max|z| = Z.  With the
+    Mobius function as ``mu`` that counts primitive z alone: every z of max
+    <= Z is d*z' for its content d and a primitive z' of max <= Z // d.
+    With the identity [0, 1] it counts every z, at d = 1 alone.  One ragged
+    gather over the pairs (read, d with mu(d) != 0) per chunk of at most
+    _CELL_CHUNK cells, one per pair and coefficient (one read at least),
+    each read summed apart."""
+    coef = np.array(coef)[:, None]
+    d = np.flatnonzero(mu)
+    # d = 1 alone where caps[0] = 0: it reads P[at] = 0, and keeps every read nonempty
+    count = np.maximum(np.searchsorted(d, caps[0], side="right"), 1)
+    ends = np.cumsum(count)
+    parts, lo, chunk = [], 0, max(1, _CELL_CHUNK // len(caps))
+    while lo < len(at):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + chunk, side="right")))
+        size = count[lo:hi]
+        first = np.cumsum(size) - size
+        t = np.repeat(np.arange(lo, hi), size)
+        dt = d[np.arange(len(t)) - np.repeat(first, size)]  # the d of each pair
+        idx = caps[:, t]
+        idx //= dt
+        idx += at[t]
+        terms = P[idx]
+        terms *= coef
+        terms = terms.sum(axis=0)
+        terms *= mu[dt]
+        parts.append(np.add.reduceat(terms, first))
+        lo = hi
+    return np.concatenate(parts)
 
 
 def _count_stream(n: int, bounds: list[int], conv: CountingConvention, blocks: tuple) -> list[int]:
     """The counts at ``bounds`` from ``blocks``, the stream of the largest:
-    the terms of the module docstring (cum[Z1] alone for a domain
-    convention), read with ``_z_caps`` and one gather per chunk of about
-    _CELL_CHUNK terms.  Exact in int64: a block's rows number at most (n+1)!
-    per orbit representative, so a bound's terms add up to at most
-    14*(n+1)! times the stream's cells, below 2^63 (``test_int64_sums_stay_exact``)."""
+    the terms of the module docstring (P(Z1) alone for a domain
+    convention), read with ``_z_caps`` and ``_prefix_reads`` (its Mobius
+    sum over the content of z for a primitive count), one chunk of about
+    _CELL_CHUNK terms at a time.  Exact in int64: a block's rows number at
+    most (n+1)! per orbit representative, so a bound's terms add up to at
+    most 14*(n+1)! times the stream's cells.  A primitive count reads each
+    prefix again at Z // d for squarefree d, over at most 1/d^n as many
+    cells, which multiplies that by at most zeta(2) at n >= 2 and by
+    1 + ln B at n = 1: below 2^63 either way (``test_int64_sums_stay_exact``)."""
     H, start = _histograms(n, blocks, conv.primitive)
-    cum = np.cumsum(H)  # cum[start[i]] sums the segments before block i (no z has max 0)
-    M, K, _ = blocks
+    M, K, Zb = blocks
+    P = np.cumsum(H, out=H)  # in place: H is not read again
+    P -= np.repeat(P[start], Zb + 1)  # each segment's own prefix sums (no z has max 0)
     two = M != K  # every block, then the other order of each with m > k
     at = start[np.concatenate([np.arange(len(M)), np.flatnonzero(two)])]
     a, b = np.concatenate([M, K[two]]), np.concatenate([K, M[two]])
+    coef = (3, -3, 1) if conv.domain is Domain.FULL else (1,)
+    mu = mobius_sieve(max(bounds)) if conv.primitive else np.array([0, 1])  # every z: d = 1 alone
     totals, per = [], max(1, _CELL_CHUNK // len(a))
     for lo in range(0, len(bounds), per):
-        z1, z12, z123 = _z_caps(np.array(bounds[lo : lo + per])[:, None], a, b)
-        if conv.domain is Domain.FULL:
-            terms = 3 * cum[at + z1] - 3 * cum[at + z12] + cum[at + z123] - cum[at]
-        else:
-            terms = cum[at + z1] - cum[at]
-        totals += terms.sum(axis=1).tolist()
+        caps = np.stack(_z_caps(np.array(bounds[lo : lo + per])[:, None], a, b)[: len(coef)])
+        shape = caps.shape[1:]  # (bounds, block orders)
+        terms = _prefix_reads(P, np.broadcast_to(at, shape).reshape(-1), caps.reshape(len(coef), -1), coef, mu)
+        totals += terms.reshape(shape).sum(axis=1).tolist()
     weight = 2 ** (2 * n + 3 - len(conv.sign_fix))
     return [weight * total for total in totals]
 
@@ -577,110 +635,3 @@ def mobius_count(n: int, B: int, sign_fix=frozenset()) -> int:
     conv = CountingConvention(False, frozenset(sign_fix), Domain.FULL)
     counts = dict(zip(bounds, _count_stream(n, bounds, conv, blocks)))
     return sum(int(g[t]) * counts[B // t] for t in range(1, B + 1) if g[t])
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def _signed_exact_max(n: int, a: int) -> np.ndarray:
-    """All signed vectors with nonzero coordinates and max|v_i| exactly a:
-    the signed box filtered to its shell."""
-    box = _grid([_signed_range(a)] * (n + 1))
-    return box[np.abs(box).max(axis=1) == a]
-
-
-def _oracle_budget(n: int, B: int) -> int:
-    """Tuples the oracle would scan, or the first partial sum over the budget."""
-    ops = 0
-    for a in range(1, B + 1):
-        na = (2 * a) ** (n + 1) - (2 * (a - 1)) ** (n + 1)
-        for b in range(1, B // a + 1):
-            nb = (2 * b) ** (n + 1) - (2 * (b - 1)) ** (n + 1)
-            ops += na * nb * (2 * (B // (a * b))) ** (n + 1)
-            if ops > _ORACLE_OPS_BUDGET:
-                return ops
-    return ops
-
-
-def _first_max_positive(V: np.ndarray) -> np.ndarray:
-    """Literal sign-fix predicate per row: first coordinate of max |.| is > 0."""
-    A = np.abs(V)
-    m = A.max(axis=1)
-    idx = np.argmax(A == m[:, None], axis=1)
-    return V[np.arange(len(V)), idx] > 0
-
-
-def oracle_sweep(n: int, B: int, convs: list[CountingConvention]) -> list[ExactCount]:
-    """Brute-force counts for several conventions from a single literal scan.
-
-    The enumeration and the solution test (sum x_i y_i z_i = 0, evaluated per
-    tuple) are shared; every predicate is applied literally per tuple as a
-    mask.  Refuses oversized scans."""
-    check_dim(n)
-    _validate_bound(B)
-    if _oracle_budget(n, B) > _ORACLE_OPS_BUDGET:
-        raise BudgetExceededError(f"oracle scan for (n={n}, B={B}) exceeds the test budget")
-
-    totals = [0] * len(convs)
-
-    z_by_cap = {}
-
-    def z_pack(Z):
-        if Z not in z_by_cap:
-            grid = _grid([_signed_range(Z)] * (n + 1))
-            mz = np.abs(grid).max(axis=1)
-            z_by_cap[Z] = (
-                grid,
-                mz,
-                _first_max_positive(grid),
-                _primitive_mask(grid),
-            )
-        return z_by_cap[Z]
-
-    for a in range(1, B + 1):
-        X = _signed_exact_max(n, a)
-        x_prim = _primitive_mask(X)
-        x_sf = _first_max_positive(X)
-        for b in range(1, B // a + 1):
-            Y = _signed_exact_max(n, b)
-            sf_y = _first_max_positive(Y)
-            prim_y = _primitive_mask(Y)
-            Z = B // (a * b)
-            grid, mz, sf_z, prim_z = z_pack(Z)
-
-            # Per-convention masks depend only on (a, b); hoisted out of the
-            # x loop.  None marks a convention that admits no z for (a, b).
-            per_conv = []
-            for conv in convs:
-                zmask = _in_domain(B, a, b, mz, conv.domain)
-                if not zmask.any():
-                    per_conv.append(None)
-                    continue
-                if conv.primitive:
-                    zmask &= prim_z
-                if "z" in conv.sign_fix:
-                    zmask &= sf_z
-                ymask = np.ones(len(Y), dtype=bool)
-                if conv.primitive:
-                    ymask &= prim_y
-                if "y" in conv.sign_fix:
-                    ymask &= sf_y
-                per_conv.append((ymask.astype(np.int64), zmask.astype(np.int64)))
-
-            gridT = grid.T
-            for xi, x in enumerate(X):
-                sol = (Y * x) @ gridT == 0
-                for ci, conv in enumerate(convs):
-                    masks = per_conv[ci]
-                    if masks is None:
-                        continue
-                    if conv.primitive and not x_prim[xi]:
-                        continue
-                    if "x" in conv.sign_fix and not x_sf[xi]:
-                        continue
-                    ymask, zmask = masks
-                    totals[ci] += int(ymask @ (sol @ zmask))
-
-    return [ExactCount(t) for t in totals]

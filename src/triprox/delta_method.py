@@ -117,8 +117,7 @@ def q_range(Q: float, l: int) -> int:
     Every later term vanishes, since h(q/Q, l/Q^2) = 0 once q/Q >= max(1, 2|l|/Q^2).
     The range grows with |l|, so one call at the largest |l| vouches for a range
     of l.  Refuses, before any term is summed: a Q that is not a finite number
-    >= 2 (ValueError), a range over _MAX_Q_MAX, and a q = 1 kernel call, the
-    widest of the series up to rounding, over the term budget (BudgetExceededError).
+    >= 2 (ValueError) and a range over _MAX_Q_MAX (BudgetExceededError).
     """
     if not 2 <= Q < math.inf:  # also refuses nan
         raise ValueError(f"Q must be a finite number >= 2, got {Q}")
@@ -126,7 +125,6 @@ def q_range(Q: float, l: int) -> int:
     last = math.ceil(max(Qf, 2 * abs(l) / Qf))
     if last > _MAX_Q_MAX:
         raise BudgetExceededError(f"Q={Q}, l={l} needs q up to {last}, over the delta-series budget of {_MAX_Q_MAX}")
-    _j_windows(1 / Qf, l / Qf**2)  # the (x, y) of delta_series at q = 1
     return last
 
 

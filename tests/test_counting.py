@@ -20,9 +20,9 @@ from triprox import (
 )
 from triprox.arith import mobius, mobius_sieve
 from triprox.counting import (
+    _canonical_rows,
     _check_z_grid,
     _exact_max_vectors,
-    _first_max_positive,
     _histograms,
     _icbrt,
     _in_domain,
@@ -30,10 +30,12 @@ from triprox.counting import (
     _mobius_inverse,
     _orbits,
     _pair_blocks,
+    _prefix_reads,
     _primitive_mask,
     _z_caps,
     count_at_bounds,
 )
+from triprox.oracle import _first_max_positive
 
 ALL = NAMED_CONVENTIONS["all"]
 
@@ -290,13 +292,20 @@ def _gcd_one(V):
 
 class TestOrbitReduction:
     @staticmethod
-    def literal_block(n, a, b, Z, primitive):
-        """The block over the full P x Q rows, with a literal Mobius step."""
+    def literal_rows(n, a, b, Z, primitive):
+        """The block's histogram over the full P x Q rows, every z (P and Q
+        primitive with ``primitive``)."""
         P, Q = _exact_max_vectors(n, a), _exact_max_vectors(n, b)
         if primitive:
             P, Q = _gcd_one(P), _gcd_one(Q)
         C = (P[:, None, :] * Q[None, :, :]).reshape(-1, n + 1)
-        hist = _kernel_rows(C, Z).sum(axis=0).tolist()
+        return _kernel_rows(C, Z).sum(axis=0).tolist()
+
+    @classmethod
+    def literal_block(cls, n, a, b, Z, primitive):
+        """The block over the full P x Q rows, with a literal Mobius step
+        for primitive z."""
+        hist = cls.literal_rows(n, a, b, Z, primitive)
         if not primitive:
             return hist
         return [0] + [
@@ -309,17 +318,42 @@ class TestOrbitReduction:
     @pytest.mark.parametrize("chunk", [counting._CELL_CHUNK, 40])
     def test_block_equals_full_row_sum(self, n, B, primitive, chunk, monkeypatch):
         # each block's segment of H, up to its cap, is the block's literal
-        # row sum (n=1, B=2000 has 419 blocks, past 8-bit block indices),
-        # also when a small _CELL_CHUNK splits every scan into many pieces
+        # row sum over every z, the primitive z read from it later (n=1,
+        # B=2000 has 419 blocks, past 8-bit block indices), also when a
+        # small _CELL_CHUNK splits every scan into many pieces
         monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
         blocks = _pair_blocks(n, B)
         H, start = _histograms(n, blocks, primitive)
         assert len(H) == sum(Z + 1 for _, _, Z in stream(blocks))
         total = 0
         for at, (m, k, Z) in zip(start.tolist(), stream(blocks)):
-            assert H[at : at + Z + 1].tolist() == self.literal_block(n, m, k, Z, primitive)
+            assert H[at : at + Z + 1].tolist() == self.literal_rows(n, m, k, Z, primitive)
             total += int(H[at : at + Z + 1].sum())
         assert total > 0
+
+    @pytest.mark.parametrize("primitive", [False, True])
+    @pytest.mark.parametrize("n, B", [(1, 40), (1, 300), (2, 30), (3, 9)])
+    @pytest.mark.parametrize("chunk", [counting._CELL_CHUNK, 40])
+    def test_prefix_reads_are_the_literal_prefixes(self, n, B, primitive, chunk, monkeypatch):
+        # every prefix of every block, through each max|z| up to its cap,
+        # read from H as the stream reads it: primitive z through the Mobius
+        # sum over the content of z, which must give the prefix of the
+        # literal Mobius step; every z through one read.  A small
+        # _CELL_CHUNK splits the ragged gather into many pieces, and a few
+        # reads of the (1, 1) block pass it alone.
+        monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
+        blocks = _pair_blocks(n, B)
+        H, start = _histograms(n, blocks, primitive)
+        P, at, caps, literal = [], [], [], []  # P: each segment's own prefix sums
+        for first, (m, k, Z) in zip(start.tolist(), stream(blocks)):
+            P += itertools.accumulate(H[first : first + Z + 1].tolist())
+            at += [first] * (Z + 1)
+            caps += range(Z + 1)
+            literal += itertools.accumulate(self.literal_block(n, m, k, Z, primitive))
+        mu = mobius_sieve(B) if primitive else np.array([0, 1])  # every z: d = 1 alone
+        reads = _prefix_reads(np.array(P), np.array(at), np.array([caps]), (1,), mu)
+        assert reads.tolist() == literal
+        assert reads.dtype == np.int64 and max(literal) > 0
 
     @pytest.mark.parametrize("primitive", [False, True])
     @pytest.mark.parametrize("n, B", [(1, 60), (2, 40), (3, 10)])
@@ -339,7 +373,7 @@ class TestOrbitReduction:
         H, start = _histograms(n, blocks, primitive)
         below = 0
         for at, (m, k, Z) in zip(start.tolist(), stream(blocks)):
-            assert H[at : at + Z + 1].tolist() == self.literal_block(n, m, k, Z, primitive)
+            assert H[at : at + Z + 1].tolist() == self.literal_rows(n, m, k, Z, primitive)
             below += any(scanned[r] > Z for r in self.canonical_rows(n, m, k, primitive))
         assert below > 0
         assert scanned == closed_form_caps(n, B)
@@ -385,6 +419,53 @@ class TestOrbitReduction:
             reps = dict(zip(map(tuple, R[ends].tolist()), sizes[ends].tolist()))
             assert reps == orbits
             assert sum(reps.values()) == len(V)
+
+
+class TestCanonicalRows:
+    @staticmethod
+    def literal_rows(n, M, K, primitive):
+        """Row-wise reference: every row p*q of every block, p and q of exact
+        max m and k, sorted along the row and divided by its gcd, deduped
+        per block with its pairs counted.  The rows are ordered by their
+        reversed tuples, the incidences (row id, block, weight) by row and
+        then by block."""
+        found = Counter()
+        for b, (m, k) in enumerate(zip(M.tolist(), K.tolist())):
+            P, Q = _exact_max_vectors(n, m), _exact_max_vectors(n, k)
+            if primitive:
+                P, Q = _gcd_one(P), _gcd_one(Q)
+            C = np.sort((P[:, None, :] * Q[None, :, :]).reshape(-1, n + 1), axis=1)
+            C //= np.gcd.reduce(C, axis=1, keepdims=True)
+            found.update((row, b) for row in map(tuple, C.tolist()))
+        rows = sorted({row for row, _ in found}, key=lambda row: row[::-1])
+        ids = {row: i for i, row in enumerate(rows)}
+        return rows, sorted((ids[row], b, w) for (row, b), w in found.items())
+
+    @pytest.mark.parametrize("primitive", [False, True])
+    @pytest.mark.parametrize("n, B", [(1, 300), (2, 60), (3, 14), (4, 8)])
+    @pytest.mark.parametrize("chunk", [counting._CELL_CHUNK, 40])
+    def test_columns_equal_the_row_wise_reference(self, n, B, primitive, chunk, monkeypatch):
+        # the rows, formed as columns and sorted by a compare-exchange
+        # network (n+1 rounds, 10 comparators at n=4), are the row-wise
+        # reference's, as are the incidences, values and dtypes alike.  The
+        # engine dedupes within a chunk of orbit representatives, so a
+        # block whose representatives span chunks repeats an incidence;
+        # summed, the weights are the number of pairs (p, q) of the orbits
+        # that give each canonical row.
+        monkeypatch.setattr(counting, "_CELL_CHUNK", chunk)
+        M, K, _ = _pair_blocks(n, B)
+        rows, row, block, weight = _canonical_rows(n, M, K, primitive)
+        literal_rows, incidences = self.literal_rows(n, M, K, primitive)
+        assert rows.tolist() == [list(r) for r in literal_rows]
+        pairs = list(zip(row.tolist(), block.tolist()))
+        assert pairs == sorted(pairs)
+        summed = Counter()
+        for pair, w in zip(pairs, weight.tolist()):
+            summed[pair] += w
+        assert [(r, b, w) for (r, b), w in summed.items()] == incidences
+        assert (rows.dtype, row.dtype, block.dtype, weight.dtype) == (
+            np.int32, np.int32, np.min_scalar_type(len(M)), np.int32)
+        assert len(incidences) > len(M)
 
 
 class TestCountPoints:
@@ -507,6 +588,21 @@ class TestCountPoints:
         # (2 orders x |3| + |-3| + |1|).  For n <= 10 the cell budget keeps
         # that below 2^63; for n >= 11 the z-grid budget admits only B <= 2.
         assert 14 * math.factorial(11) * counting._CELL_BUDGET < 2**63
+        # A primitive count reads sum_d mu(d) * P(Z // d) for squarefree
+        # d <= Z, and the cells of cap Z // d are at most cells(Z) / d^n,
+        # so the d-sum grows the bound by zeta(2) at n >= 2 and by 1 + ln B
+        # at n = 1, where (n+1)! = 2.
+        zeta2 = math.pi**2 / 6
+        assert 14 * math.factorial(11) * zeta2 * counting._CELL_BUDGET < 2**63
+        assert 14 * 2 * (1 + math.log(counting._MAX_BOUND)) * counting._CELL_BUDGET < 2**63
+        mu = mobius_sieve(400)
+        for n in range(1, 5):
+            def cells(z):
+                return z * (2 * z) ** (n - 1)
+
+            for Z in range(1, 400):
+                read = sum(cells(Z // d) for d in range(1, Z + 1) if mu[d])
+                assert read <= (zeta2 if n >= 2 else 1 + math.log(Z)) * cells(Z)
         for n in range(11, 40):
             with pytest.raises(BudgetExceededError):
                 _pair_blocks(n, 3)
@@ -520,6 +616,8 @@ class TestCountPoints:
                     return a ** (n + 1) - (a - 1) ** (n + 1)
 
                 assert 14 * sum(rows(m) * rows(k) * Z * (2 * Z) ** (n - 1) for m, k, Z in stream(blocks)) < 2**63
+                assert 14 * zeta2 * sum(rows(m) * rows(k) * Z * (2 * Z) ** (n - 1)
+                                        for m, k, Z in stream(blocks)) < 2**63
 
 
 @functools.cache
@@ -697,8 +795,9 @@ class TestMobiusIdentity:
 
     def test_n1_one_incidence_per_step(self, monkeypatch):
         # every cap group above 39 adds one incidence per step of 40 cells:
-        # the primitive route inverts each group's rows, the Mobius route
-        # reads every floor(B/t), and both keep the count of the default chunk
+        # the primitive route reads its Mobius sum over the content of z in
+        # pieces of 40 pairs, the Mobius route reads every floor(B/t), and
+        # both keep the count of the default chunk
         expected = count_points(1, 300, NAMED_CONVENTIONS["primitive"]).count
         monkeypatch.setattr(counting, "_CELL_CHUNK", 40)
         assert mobius_count(1, 300) == count_points(1, 300, NAMED_CONVENTIONS["primitive"]).count == expected
@@ -709,6 +808,21 @@ class TestMobiusIdentity:
         direct = count_points(3, 8, NAMED_CONVENTIONS["primitive"]).count
         monkeypatch.setattr(counting, "_CELL_CHUNK", 40)
         assert mobius_count(3, 8) == direct
+
+    @pytest.mark.parametrize("n, bounds", [(1, [300, 257, 97, 64, 13, 2, 1]), (2, [40, 31, 17, 8, 1]),
+                                           (3, [14, 11, 6, 2])])
+    def test_bounds_of_one_stream_match_both_routes(self, n, bounds, monkeypatch):
+        # the primitive counts of one stream, read with the Mobius sum over
+        # the content of z, equal each bound's own primitive count and the
+        # triple Mobius sum over non-primitive counts; with _CELL_CHUNK = 40
+        # the ragged gather runs in pieces, some of a single read
+        conv = NAMED_CONVENTIONS["primitive"]
+        direct = [count_points(n, B, conv).count for B in bounds]
+        assert direct == [mobius_count(n, B) for B in bounds]
+        assert count_at_bounds(n, bounds, conv) == direct
+        monkeypatch.setattr(counting, "_CELL_CHUNK", 40)
+        assert count_at_bounds(n, bounds, conv) == direct
+        assert direct[0] > 0
 
     def test_unit_bound_trivial(self):
         assert mobius_count(3, 1, frozenset()) == count_points(3, 1, NAMED_CONVENTIONS["primitive"]).count

@@ -108,6 +108,23 @@ def test_prime_table_is_a_small_read_only_int32_view():
     assert (size, last, types, refused) == (78498, 999983, ["int"], True)
 
 
+def test_count_adds_little_resident_memory():
+    # count-n2-primitive grows the peak RSS of a fresh process by 1.26-1.52
+    # MB over `import triprox.cli` alone.  Its arrays are small; the growth
+    # is mostly numpy code pages, and a numpy routine the count did not call
+    # before can add up to 0.5 MB more (a default int64 sort did at n=3),
+    # which the bound catches while leaving about 0.3 MB for spread.
+    code = ("import contextlib, io, json, resource\n"
+            "import triprox.cli\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = triprox.cli.main(['count', '--n', '2', '--bound', '120', '--convention', 'primitive'])\n"
+            "print(json.dumps([rc, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024]))")
+    rc, grown = run_fresh(code)
+    assert rc == 0
+    assert grown < 1.8
+
+
 def test_every_traced_boundary_exists():
     # perfbench/tracing.py wraps each (module, name) of BOUNDARIES and skips
     # a missing one, so a rename would only drop metrics from the benchmark;
