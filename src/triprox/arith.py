@@ -120,10 +120,13 @@ def ramanujan_sum_complex(q: int, l: int) -> complex:
 
 
 def mobius_sieve(limit: int) -> np.ndarray:
-    """mu(1..limit) as an int8 array indexed from 0 (index 0 unused)."""
+    """mu(1..limit) as an int8 array indexed from 0 (index 0 unused).  Only
+    the primes p <= isqrt(limit) have a square within the array to clear."""
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
+    root = math.isqrt(limit)
     for p in _primes_upto(limit).tolist():
         mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
+        if p <= root:
+            mu[p * p :: p * p] = 0
     return mu

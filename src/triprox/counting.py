@@ -217,10 +217,13 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
     z -> -z pairs every solution with one of the same max|z| and the
     opposite sign of z_1, so the full count is twice this; the caller's sign
     weight carries the 2.  A count at h does not depend on Z, so a row's
-    histogram at a smaller cap is a prefix of this one.  C must have
-    positive entries, in any order: the kernel solves for column 0,
-    enumerating the other n coordinates and accepting a cell when C[r,0]
-    divides the partial sum s with a quotient in [-Z,-1] u [1,Z].
+    histogram at a smaller cap is a prefix of this one.  C must be
+    non-empty, with Z >= 1, as in every call from ``_histograms``: it passes
+    one cap's slice of rows, whose entries are at most r2 <= B, so the cap
+    B // max(C) is at least 1.  C must have positive entries, in any order:
+    the kernel solves for column 0, enumerating the other n coordinates and
+    accepting a cell when C[r,0] divides the partial sum s with a quotient
+    in [-Z,-1] u [1,Z].
 
     It builds no grid of z.  Each cell costs a few passes over float32
     buffers allocated once per call: s as the broadcast sum of the
@@ -244,8 +247,6 @@ def _kernel_rows(C: np.ndarray, Z: int) -> np.ndarray:
     per-point tables of z_2..z_n grows with Z or with the number of rows.
     """
     hist = np.zeros((len(C), Z + 1), dtype=np.int64)
-    if Z < 1 or len(C) == 0:
-        return hist
     n = C.shape[1] - 1
     if n * int(C.max()) * Z >= 1 << 24:
         raise OverflowGuardError(f"kernel sums n*max(C)*Z (n={n}, Z={Z}) reach 2^24, beyond exact float32")

@@ -13,10 +13,12 @@ vanishes for x >= max(1, 2|y|), so only q < max(Q, 2|l|/Q) contribute, and
 to 1 at l = 0 and vanishes identically for l != 0; c_Q itself has no closed
 form and is only ever estimated empirically as 1/raw(0).
 
-c0, the bump's integral, is a trapezoidal sum: every derivative of the bump
-vanishes at +-1, so the rule's Euler-Maclaurin corrections all vanish and
-its error falls faster than any power of the step (Trefethen & Weideman,
-SIAM Review 56, 2014).  512 steps give c0 correctly rounded.
+c0, the bump's integral, is the 512-step trapezoidal sum: every derivative
+of the bump vanishes at +-1, so the rule's Euler-Maclaurin corrections all
+vanish and its error falls faster than any power of the step (Trefethen &
+Weideman, SIAM Review 56, 2014).  The 256- and 512-step sums differ by
+4.4e-15; the 512-, 1,024-, 2,048- and 4,096-step sums are the same double,
+0x1.c6a650a045c5cp-2, which is the integral correctly rounded.
 """
 
 from __future__ import annotations
@@ -41,35 +43,24 @@ def bump(x: float) -> float:
     return math.exp(-1.0 / (1.0 - x * x))
 
 
-def bump_integral(tol: float = 1e-12) -> float:
-    """Integral of the bump over the real line, by the trapezoidal rule on [-1, 1].
-
-    N = 16, 32, ..., 2^16 equal steps, at the nodes -1 + 2i/N (exact in
-    binary; the end nodes, where the bump is 0, are left out), until two
-    successive sums agree within ``tol``; ArithmeticError if none do.
-    The stop is sound only because every derivative of the bump vanishes at
-    +-1: in place of the bump, the step 1 for x < 0.1 (integral 1.1) gives 1.09375.
-    """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    prev = math.inf
-    for k in range(4, 17):
-        N = 1 << k
-        value = 2.0 / N * math.fsum(bump(-1.0 + 2.0 * i / N) for i in range(1, N))
-        if abs(value - prev) <= tol:
-            return value
-        prev = value
-    raise ArithmeticError(f"trapezoidal rule did not converge to {tol} by N = 2^16: last value {prev}")
-
-
 @lru_cache(maxsize=None)
-def _c0() -> float:
-    return bump_integral()
+def bump_integral() -> float:
+    """c0, the integral of the bump over the real line, by the trapezoidal rule
+    with N = 512 equal steps on [-1, 1], at the nodes -1 + 2i/N (exact in
+    binary; the end nodes, where the bump is 0, are left out).
+
+    512 steps suffice because every derivative of the bump vanishes at +-1
+    (see the module docstring): doubling N up to 4,096 leaves the sum's bits
+    unchanged.  A function without that decay gets no such guarantee: the
+    step 1 for x < 0.1 in place of the bump (integral 1.1) gives 1.09765625.
+    """
+    N = 512
+    return 2.0 / N * math.fsum(bump(-1.0 + 2.0 * i / N) for i in range(1, N))
 
 
 def window(x: float) -> float:
     """Unit-mass window supported in (1/2, 1): 4/c0 * bump(4x - 3)."""
-    return 4.0 / _c0() * bump(4.0 * x - 3.0)
+    return 4.0 / bump_integral() * bump(4.0 * x - 3.0)
 
 
 def _j_windows(x: float, y: float) -> list[tuple[int, int]]:

@@ -306,6 +306,12 @@ class TestBasicContracts:
                 # is constant and the sample variance is exactly zero
                 assert est.stderr == 0.0 and est.mean == 8.0
 
+    def test_offdiag_n1_is_exact(self):
+        # at n = 1 the slab of the other terms is empty (``_slab`` with zero
+        # terms), so the integrand is 2 on the whole 2-cube: mean 2 * 4, no variance
+        est = mc_sigma1(1, 0, 1, 2000, 0)
+        assert (est.mean, est.stderr) == (8.0, 0.0)
+
     def test_offdiag_integrand_bounded_by_two(self):
         f = _offdiag_f(2)
         rng = np.random.default_rng(5)

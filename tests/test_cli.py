@@ -133,6 +133,12 @@ class TestCount:
             assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
             assert list(tmp_path.iterdir()) == []
 
+    def test_empty_bound_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--n", "2", "--bound", ","])
+        assert exc.value.code == EXIT_USAGE
+        assert "empty integer list" in capsys.readouterr().err
+
     def test_invalid_dimension_maps_to_usage(self):
         assert main(["count", "--n", "0", "--bound", "4"]) == EXIT_USAGE
 
@@ -192,6 +198,12 @@ class TestCensusAndDelta:
         assert main(["census", "--n", "7000"]) == EXIT_OK
         assert str(4**7001 - 3 * 3**7001 + 3 * 2**7001 - 1) in capsys.readouterr().out
 
+    def test_census_oracle_prints_its_strata(self, capsys):
+        assert main(["census", "--n", "2", "--mode", "oracle"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "singular index triples for n=2 (oracle): 6" in out
+        assert "  stratum dimension 0: 6\n" in out
+
     def test_census_budget_exit(self):
         assert main(["census", "--n", "6", "--mode", "oracle"]) == EXIT_BUDGET
 
@@ -215,6 +227,29 @@ class TestCensusAndDelta:
         start = time.perf_counter()
         assert main(["delta", "--Q", "2", "--l-range", "1000000000:1000000000"]) == EXIT_BUDGET
         assert time.perf_counter() - start < 1.0
+
+    def test_delta_single_l_is_symmetric_range(self, tmp_path):
+        store = tmp_path / "runs.jsonl"
+        assert main(["delta", "--Q", "4", "--l-range", "3", "--out", str(store)]) == EXIT_OK
+        rec = read_jsonl(store)[0]
+        assert rec["l_range"] == [-3, 3]
+        assert list(rec["raw"]) == [str(l) for l in range(-3, 4)]
+
+    def test_delta_malformed_l_range_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["delta", "--Q", "4", "--l-range", "a:b"])
+        assert exc.value.code == EXIT_USAGE
+        assert "expected 'L' or 'LO:HI', got 'a:b'" in capsys.readouterr().err
+
+    def test_plain_arithmetic_error_maps_to_numeric_exit(self, capsys, monkeypatch):
+        # an ArithmeticError that is not an overflow guard: one line on stderr, no traceback
+        def dividing(l, Q):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "delta_series", dividing)
+        assert main(["delta", "--Q", "4"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "error (numeric): float division by zero\n"
 
     def test_delta_zero_raw0_writes_record(self, capsys, tmp_path):
         # At Q=2 no q reaches the window's support, so raw(0) = 0.
@@ -361,6 +396,15 @@ class TestPredictAndCompare:
                      "--mc-samples", "2000", "--seed", seed, "--out", str(store)]) == EXIT_USAGE
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
         assert not store.exists()
+
+    def test_compare_bound_below_two_refused_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bound below 2 must be refused before the prediction or the count")
+
+        monkeypatch.setattr(cli, "predicted_constant", no_work)
+        monkeypatch.setattr(cli, "count_at_bounds", no_work)
+        assert main(["compare", "--n", "2", "--bounds", "1,8"]) == EXIT_USAGE
+        assert "compare requires bounds >= 2" in capsys.readouterr().err
 
     def test_compare_csv_roundtrip(self, tmp_path, capsys):
         store = tmp_path / "runs.jsonl"

@@ -96,6 +96,10 @@ class TestPredicates:
         V = np.concatenate([rows((3, -3, 1, 2), (-2, 5, 5, 1), (1, 1, -1, 1), (-7, 2, 7, 7)), V])
         assert np.all(_first_max_positive(V) != _first_max_positive(-V))
 
+    def test_sign_fix_outside_xyz_refused(self):
+        with pytest.raises(ValueError, match="sign_fix must be a subset"):
+            CountingConvention(False, frozenset("w"))
+
     def test_primitive_matches_gcd_fold(self):
         rng = np.random.default_rng(11)
         for k in (2, 3, 4):
@@ -492,6 +496,11 @@ class TestCountPoints:
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             count_points(2, 0, ALL)
+
+    def test_convention_by_name_refused(self):
+        # the names are the CLI's; the engine takes the convention itself
+        with pytest.raises(ValueError, match="conv must be a CountingConvention"):
+            count_at_bounds(2, [8], "primitive")
 
     @pytest.mark.parametrize("n, expected", [(20, 0), (21, math.comb(22, 11) * 4**22),
                                              (23, math.comb(24, 12) * 4**24)])

@@ -125,6 +125,28 @@ def test_count_adds_little_resident_memory():
     assert grown < 1.8
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_compiling_counting_adds_little_peak_memory():
+    # Without cached bytecode every command compiles its modules, and the
+    # peak of compiling counting.py, the largest, carries into every count's
+    # peak RSS.  The step is read from VmHWM, the process's own high-water
+    # mark: on Linux a child's ru_maxrss starts at its parent's peak, which
+    # hides any step below that.  Under Python 3.11 it reads 1.68-1.76 MB at
+    # 5,002 AST nodes (1.75-1.875 MB by ru_maxrss, in 128 KB steps, from a
+    # shell); the bound leaves room for that spread and one more step, while
+    # a module a quarter larger (6,357 nodes) reads 2.3 MB.
+    path = Path(SRC) / "triprox" / "counting.py"
+    code = ("import json\n"
+            "def peak_kb():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return int(next(line for line in fh if line.startswith('VmHWM:')).split()[1])\n"
+            f"source = open({str(path)!r}, encoding='utf-8').read()\n"
+            "before = peak_kb()\n"
+            "compile(source, 'counting.py', 'exec')\n"
+            "print(json.dumps((peak_kb() - before) / 1024))")
+    assert run_fresh(code) <= 2.125
+
+
 def test_every_traced_boundary_exists():
     # perfbench/tracing.py wraps each (module, name) of BOUNDARIES and skips
     # a missing one, so a rename would only drop metrics from the benchmark;

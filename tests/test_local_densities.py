@@ -69,14 +69,7 @@ def oracle_euler_product(n, p_max, t_max):
         s, s_prime = oracle_sigma(p, n, t_max)
         value *= s_prime
         log_trunc += oracle_tail(p, n, t_max) / s
-    p_cut, log_small = p_max, 0.0
-    for p in primes:
-        if p > p_max:
-            if p**n >= 2 ** (n + 2):
-                break
-            log_small += abs(math.log(oracle_sigma(p, n, t_max)[1])) + oracle_tail(p, n, t_max)
-            p_cut = p
-    log_prime_tail = log_small + (2 ** (n + 2) + 6) * p_cut ** (1 - n) / (n - 1)
+    log_prime_tail = (2 ** (n + 2) + 6) * p_max ** (1 - n) / (n - 1)
     return value, value * math.expm1(log_prime_tail + log_trunc)
 
 
@@ -209,6 +202,13 @@ class TestEulerProduct:
     def test_single_factor(self):
         ep = euler_product(2, 2, 30)
         assert ep.value == local_density(2, 2, 30).sigma_p_prime
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_smallest_cutoff_tail_covers_the_rest(self, n):
+        # the prime-tail majorant holds from p = 3 on, so p_max = 2 needs no
+        # prime summed beyond it: its tail still bounds every later factor
+        lo, hi = euler_product(n, 2, 40), euler_product(n, 10**6, 40)
+        assert abs(hi.value - lo.value) <= lo.tail
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("t_max", [1, 40])
